@@ -1,11 +1,11 @@
-"""Serving layer: ingest throughput and micro-batched vs per-request scoring.
+"""Serving layer: ingest throughput and batched vs per-request scoring.
 
 The serving acceptance number lives here: with 64 concurrent sessions at
-d = 5, scoring one coalesced batch through the stacked kernels must be at
-least 5x faster than issuing the same queries one request at a time.
-Both paths run the *identical* scoring code (`MomentService.query_many`),
-so the comparison isolates exactly what micro-batching buys — amortised
-Python dispatch and ``(B, d, d)`` LAPACK calls instead of ``B`` separate
+d = 5, scoring one batch through the stacked kernels must be at least 5x
+faster than issuing the same queries one request at a time.  Both paths
+run the *identical* scoring code (`ShardedMomentService.query_many`), so
+the comparison isolates exactly what batching buys — amortised Python
+dispatch and ``(B, d, d)`` LAPACK calls instead of ``B`` separate
 ``(d, d)`` ones.
 
 The measured numbers are appended to the ``BENCH_serving.json`` trajectory
@@ -25,7 +25,7 @@ import pytest
 from _bench_util import emit
 from repro.bench import append_entry
 from repro.core.prior import PriorKnowledge
-from repro.serving import MomentService, ShardedMomentService
+from repro.serving import ShardedMomentService
 
 D = 5
 N_SESSIONS = 64
@@ -42,9 +42,9 @@ def _sizing(scale):
     return {"rows_per_session": 200, "repeats": 5, "ingest_rows": 20_000}
 
 
-def _build_service(rows_per_session: int, seed: int = 0) -> MomentService:
+def _build_service(rows_per_session: int, seed: int = 0) -> ShardedMomentService:
     rng = np.random.default_rng(seed)
-    service = MomentService(start_queue=False)
+    service = ShardedMomentService()
     for i in range(N_SESSIONS):
         a = rng.standard_normal((D, D))
         prior = PriorKnowledge(rng.standard_normal(D), a @ a.T + D * np.eye(D))
@@ -71,7 +71,7 @@ def sized(scale):
 
 def test_ingest_throughput(sized, scale):
     """Single-row Welford ingest rate (the tester-floor trickle path)."""
-    service = MomentService(start_queue=False)
+    service = ShardedMomentService()
     rng = np.random.default_rng(3)
     a = rng.standard_normal((D, D))
     prior = PriorKnowledge(rng.standard_normal(D), a @ a.T + D * np.eye(D))
@@ -94,7 +94,7 @@ def test_ingest_throughput(sized, scale):
         f"in {elapsed * 1e3:.1f} ms ({rate:,.0f} rows/s); "
         f"same block batched in {block_elapsed * 1e3:.2f} ms"
     )
-    assert service.store.get("dut").n_ingested == sized["ingest_rows"]
+    assert service.estimate("dut").n_samples == sized["ingest_rows"]
     _record("ingest", {
         "rows": sized["ingest_rows"],
         "one_at_a_time_s": round(elapsed, 6),
@@ -108,7 +108,7 @@ def test_batched_vs_per_request_query_latency(sized, scale):
     service = _build_service(sized["rows_per_session"], seed=7)
     rng = np.random.default_rng(11)
     x = rng.standard_normal((LOGLIK_ROWS, D))
-    keys = service.store.keys()
+    keys = service.session_keys()
     queries = [("estimate", key, None) for key in keys] + [
         ("loglik", key, x) for key in keys
     ]
@@ -135,7 +135,7 @@ def test_batched_vs_per_request_query_latency(sized, scale):
     emit(
         f"serving query scoring ({scale.label}): {len(queries)} queries over "
         f"{N_SESSIONS} sessions (d={D}) — per-request {per_request_s * 1e3:.1f} ms, "
-        f"micro-batched {batched_s * 1e3:.2f} ms -> {speedup:.1f}x"
+        f"batched {batched_s * 1e3:.2f} ms -> {speedup:.1f}x"
     )
     _record("query_latency", {
         "n_sessions": N_SESSIONS,
@@ -150,7 +150,7 @@ def test_batched_vs_per_request_query_latency(sized, scale):
     if scale.label != "smoke":
         # CI smoke boxes are too noisy to gate on; the committed
         # BENCH_serving.json records the reduced-scale number.
-        assert speedup >= 5.0, f"micro-batching speedup {speedup:.1f}x < 5x"
+        assert speedup >= 5.0, f"batched scoring speedup {speedup:.1f}x < 5x"
 
 
 def _zipf_sizing(scale):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -176,8 +176,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=1,
-        help="shard-worker count (1 without other shard flags is the "
-        "bit-identical single-process compatibility mode)",
+        help="shard-worker count for a fresh service (a restored or "
+        "recovered service keeps the shard count it was saved with); one "
+        "shard without a WAL checkpoints to a single file, anything else "
+        "to a manifest directory",
     )
     serve.add_argument(
         "--wal-dir",
@@ -220,13 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="log 2-D ingest blocks with at least this many rows as "
         "O(d^2) sufficient statistics instead of raw samples "
         "(default: off — always log raw samples)",
-    )
-    serve.add_argument(
-        "--placement",
-        choices=["hash", "spread"],
-        default="hash",
-        help="session placement: each key on its consistent-hash home "
-        "shard, or spread over all shards with merge-on-read queries",
     )
 
     replay = sub.add_parser(
@@ -639,85 +634,58 @@ def _cmd_serve(args) -> int:
     import os
     from pathlib import Path
 
-    from repro.serving import MomentService, ShardedMomentService, serve_loop
+    from repro.serving import ShardedMomentService, serve_loop
 
-    # Any shard-mode flag routes through the sharded stack; the bare
-    # single-shard invocation keeps the original MomentService path so its
-    # behaviour and checkpoint bytes stay identical to the pre-shard CLI.
-    sharded = (
-        args.shards != 1
-        or args.wal_dir is not None
-        or args.flush_rows is not None
-        or args.placement != "hash"
-    )
     if args.save_on_exit and not args.checkpoint:
         print("--save-on-exit requires --checkpoint", file=sys.stderr)
         return 2
-    service: Any
-    if sharded:
-        manifest = (
-            os.path.join(args.checkpoint, "manifest.json") if args.checkpoint else None
+    if args.checkpoint and os.path.exists(args.checkpoint):
+        service = ShardedMomentService.restore(
+            args.checkpoint,
+            wal_dir=args.wal_dir,
+            flush_rows=args.flush_rows,
+            wal_flush_records=args.wal_flush_records,
+            wal_flush_bytes=args.wal_flush_bytes,
+            wal_delta_rows=args.wal_delta_rows,
         )
-        if manifest is not None and os.path.exists(manifest):
-            service = ShardedMomentService.restore(
-                args.checkpoint,
-                wal_dir=args.wal_dir,
-                flush_rows=args.flush_rows,
-                wal_flush_records=args.wal_flush_records,
-                wal_flush_bytes=args.wal_flush_bytes,
-                wal_delta_rows=args.wal_delta_rows,
-            )
-            print(
-                f"restored {service.n_shards}-shard service from {args.checkpoint}",
-                file=sys.stderr,
-            )
-        elif args.wal_dir is not None and sorted(
-            Path(args.wal_dir).glob("shard-*.wal")
-        ):
-            service = ShardedMomentService.recover(
-                args.wal_dir,
-                max_sessions_per_shard=args.max_sessions,
-                ttl_ops=args.ttl_ops,
-                placement=args.placement,
-                flush_rows=args.flush_rows,
-                wal_flush_records=args.wal_flush_records,
-                wal_flush_bytes=args.wal_flush_bytes,
-                wal_delta_rows=args.wal_delta_rows,
-            )
-            print(
-                f"recovered {service.n_shards} shard(s) by replaying "
-                f"write-ahead logs in {args.wal_dir}",
-                file=sys.stderr,
-            )
-            if args.shards != service.n_shards:
-                print(
-                    f"warning: --shards {args.shards} ignored — the shard "
-                    f"count is fixed by the {service.n_shards} recovered "
-                    "WAL file(s); re-shard offline if you need a "
-                    "different count",
-                    file=sys.stderr,
-                )
-        else:
-            service = ShardedMomentService(
-                n_shards=args.shards,
-                max_sessions_per_shard=args.max_sessions,
-                ttl_ops=args.ttl_ops,
-                placement=args.placement,
-                flush_rows=args.flush_rows,
-                wal_dir=args.wal_dir,
-                wal_format=args.wal_format,
-                wal_flush_records=args.wal_flush_records,
-                wal_flush_bytes=args.wal_flush_bytes,
-                wal_delta_rows=args.wal_delta_rows,
-            )
-    elif args.checkpoint and os.path.exists(args.checkpoint):
-        service = MomentService.restore(args.checkpoint, start_queue=False)
-        print(f"restored service state from {args.checkpoint}", file=sys.stderr)
-    else:
-        service = MomentService(
-            max_sessions=args.max_sessions,
+        print(
+            f"restored {service.n_shards}-shard service from {args.checkpoint}",
+            file=sys.stderr,
+        )
+    elif args.wal_dir is not None and any(Path(args.wal_dir).glob("shard-*.wal")):
+        service = ShardedMomentService.recover(
+            args.wal_dir,
+            max_sessions_per_shard=args.max_sessions,
             ttl_ops=args.ttl_ops,
-            start_queue=False,
+            flush_rows=args.flush_rows,
+            wal_flush_records=args.wal_flush_records,
+            wal_flush_bytes=args.wal_flush_bytes,
+            wal_delta_rows=args.wal_delta_rows,
+        )
+        print(
+            f"recovered {service.n_shards} shard(s) by replaying "
+            f"write-ahead logs in {args.wal_dir}",
+            file=sys.stderr,
+        )
+        if args.shards != service.n_shards:
+            print(
+                f"warning: --shards {args.shards} ignored — the shard "
+                f"count is fixed by the {service.n_shards} recovered "
+                "WAL file(s); re-shard offline if you need a "
+                "different count",
+                file=sys.stderr,
+            )
+    else:
+        service = ShardedMomentService(
+            n_shards=args.shards,
+            max_sessions_per_shard=args.max_sessions,
+            ttl_ops=args.ttl_ops,
+            flush_rows=args.flush_rows,
+            wal_dir=args.wal_dir,
+            wal_format=args.wal_format,
+            wal_flush_records=args.wal_flush_records,
+            wal_flush_bytes=args.wal_flush_bytes,
+            wal_delta_rows=args.wal_delta_rows,
         )
     print(
         "repro serving loop: one JSON request per line on stdin "
@@ -846,22 +814,22 @@ def _cmd_ingest(args) -> int:
 
     from repro.core.prior import PriorKnowledge
     from repro.io import load_dataset
-    from repro.serving import MomentService
+    from repro.serving import ShardedMomentService
 
     if args.emit_wire is not None:
         return _emit_wire_requests(args)
     dataset = load_dataset(args.dataset)
     if os.path.exists(args.checkpoint):
-        service = MomentService.restore(args.checkpoint, start_queue=False)
+        service = ShardedMomentService.restore(args.checkpoint)
     elif args.create:
-        service = MomentService(start_queue=False)
+        service = ShardedMomentService()
     else:
         print(
             f"checkpoint {args.checkpoint} does not exist (pass --create to start one)",
             file=sys.stderr,
         )
         return 2
-    if args.session not in service.store:
+    if args.session not in service.session_keys():
         if not args.create:
             print(
                 f"session {args.session!r} not in checkpoint "
@@ -892,15 +860,15 @@ def _cmd_query(args) -> int:
     import json
 
     from repro.io import load_dataset
-    from repro.serving import MomentService
+    from repro.serving import ShardedMomentService
 
-    service = MomentService.restore(args.checkpoint, start_queue=False)
+    service = ShardedMomentService.restore(args.checkpoint)
 
     if args.kind == "stats":
         print(json.dumps(service.stats(), indent=2, sort_keys=True))  # reprolint: disable=RPL009 -- human-readable console display, never persisted or hashed
         return 0
     if args.kind == "sessions":
-        for key in service.store.keys():
+        for key in service.session_keys():
             print(key)
         return 0
 

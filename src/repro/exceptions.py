@@ -109,13 +109,3 @@ class WalCorruptionError(ReproError, RuntimeError):
     one — the file was edited, reordered, or damaged at rest, and replaying
     it would reconstruct a state that never existed.
     """
-
-
-class ServiceOverloadedError(ReproError, RuntimeError):
-    """Raised when the serving request queue is full (backpressure).
-
-    The micro-batching queue bounds its pending-request memory; once the
-    bound is hit, new submissions fail fast with this error instead of
-    growing the queue without limit.  Callers should retry with backoff or
-    shed load.
-    """

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.exceptions import DimensionError
 
-__all__ = ["replicate", "resolve_n_jobs", "fork_available", "thread_map"]
+__all__ = ["replicate", "resolve_n_jobs", "fork_available"]
 
 #: Callable + task list inherited by forked workers (never pickled).
 _FORK_STATE: dict = {}
@@ -54,30 +54,6 @@ def resolve_n_jobs(n_jobs: Optional[int]) -> int:
 def fork_available() -> bool:
     """Whether the ``fork`` start method exists on this platform."""
     return "fork" in multiprocessing.get_all_start_methods()
-
-
-def thread_map(
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Any],
-    n_jobs: Optional[int] = 1,
-) -> List[Any]:
-    """Evaluate ``fn(task)`` for every task on a thread pool, order-preserving.
-
-    The thread-side sibling of :func:`replicate`, for tasks that are
-    lock- or I/O-bound rather than CPU-bound (the serving router fanning a
-    query out over shard workers is the motivating case: each call mostly
-    waits on a per-shard store lock).  ``fn`` may close over arbitrary
-    shared state — nothing is pickled.  The serial path (``n_jobs`` of
-    ``None``/``1``, or a single task) is the reference semantics; because
-    results come back in task order, the output is identical for every
-    worker count whenever ``fn`` is pure in its task.
-    """
-    jobs = resolve_n_jobs(n_jobs)
-    task_list = list(tasks)
-    if jobs <= 1 or len(task_list) <= 1:
-        return [fn(task) for task in task_list]
-    with ThreadPoolExecutor(max_workers=min(jobs, len(task_list))) as pool:
-        return list(pool.map(fn, task_list))
 
 
 def _call_indexed(index: int) -> Any:

@@ -6,31 +6,26 @@ BMF is actually consumed on a tester floor — measurements trickle in die
 by die, and the MAP estimate must be queryable at any instant without
 re-touching raw samples.  The stack is layered bottom-up:
 
-* :mod:`repro.serving.suffstats` — mergeable sufficient-statistics
-  substrate (re-exported from :mod:`repro.stats.suffstats`) plus the
-  stacked Eq. (31)–(32) MAP kernel.
+* :mod:`repro.serving.suffstats` — the stacked Eq. (31)–(32) MAP kernel
+  over :mod:`repro.stats.suffstats` accumulators.
 * :mod:`repro.serving.counters` — thread-safe request/ingest/latency
-  counters shared by every layer above.
+  counters shared by every layer above, and the query kinds.
 * :mod:`repro.serving.wal` — per-shard append-only, sha256-chained
   write-ahead log (JSON-lines v1 and binary-frame v2 formats) with
   group-commit buffering, torn-tail recovery, and atomic compaction.
 * :mod:`repro.serving.sessions` — keyed session store with LRU capacity
   and logical-clock TTL eviction.
-* :mod:`repro.serving.queue` — micro-batching query queue with bounded
-  backpressure.
 * :mod:`repro.serving.checkpoint` — atomic, integrity-checked snapshot /
   bit-identical restore.
-* :mod:`repro.serving.scoring` — the grouped stacked-kernel batch
-  scorer all services answer through.
+* :mod:`repro.serving.scoring` — the query :class:`Request` and the
+  grouped stacked-kernel batch scorer every query is answered through.
 * :mod:`repro.serving.worker` — :class:`ShardWorker`: one store slice +
   counters + scorer (+ WAL), with bit-identical log replay.
-* :mod:`repro.serving.service` — :class:`MomentService`, the
-  single-process composition (one worker + micro-batch queue).
-* :mod:`repro.serving.router` — :class:`ShardedMomentService`:
-  consistent-hash placement, coalesced ingest, merge-on-read queries,
-  manifest checkpoints.
+* :mod:`repro.serving.router` — :class:`ShardedMomentService`, the one
+  serving front door: consistent-hash placement, coalesced ingest,
+  per-shard batch queries, single-file or manifest checkpoints.
 * :mod:`repro.serving.protocol` — JSON-lines request handling for the
-  ``repro serve`` CLI verb (fronts either service).
+  ``repro serve`` CLI verb.
 """
 
 from repro.serving.checkpoint import (
@@ -39,7 +34,7 @@ from repro.serving.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from repro.serving.counters import ServiceCounters
+from repro.serving.counters import QUERY_KINDS, ServiceCounters
 from repro.serving.protocol import (
     WIRE_B64F64,
     decode_array,
@@ -47,12 +42,10 @@ from repro.serving.protocol import (
     handle_request,
     serve_loop,
 )
-from repro.serving.queue import QUERY_KINDS, MicroBatchQueue, Request
 from repro.serving.router import MANIFEST_SCHEMA, HashRing, ShardedMomentService
-from repro.serving.scoring import BatchScorer
-from repro.serving.service import MomentService
+from repro.serving.scoring import BatchScorer, Request
 from repro.serving.sessions import Session, SessionStore
-from repro.serving.suffstats import SufficientStats, map_moments_stack, merge_all
+from repro.serving.suffstats import map_moments_stack
 from repro.serving.wal import WAL_SCHEMA, WAL_SCHEMA_V2, WriteAheadLog
 from repro.serving.worker import ShardWorker
 
@@ -62,8 +55,6 @@ __all__ = [
     "CHECKPOINT_SCHEMA_VERSION",
     "HashRing",
     "MANIFEST_SCHEMA",
-    "MicroBatchQueue",
-    "MomentService",
     "QUERY_KINDS",
     "Request",
     "ServiceCounters",
@@ -71,7 +62,6 @@ __all__ = [
     "SessionStore",
     "ShardWorker",
     "ShardedMomentService",
-    "SufficientStats",
     "WAL_SCHEMA",
     "WAL_SCHEMA_V2",
     "WIRE_B64F64",
@@ -81,7 +71,6 @@ __all__ = [
     "handle_request",
     "load_checkpoint",
     "map_moments_stack",
-    "merge_all",
     "save_checkpoint",
     "serve_loop",
 ]

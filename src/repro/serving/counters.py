@@ -1,10 +1,11 @@
-"""Thread-safe service counters (shared by workers, services, and routers).
+"""Thread-safe service counters (shared by workers and the router).
 
 Extracted to the bottom of the serving sub-layering so every layer above —
 :class:`~repro.serving.worker.ShardWorker`,
-:class:`~repro.serving.service.MomentService`, and the shard router — can
+:class:`~repro.serving.scoring.BatchScorer`, and the shard router — can
 count requests/ingest/latency through one implementation without import
-cycles.
+cycles.  Request kinds (:data:`QUERY_KINDS`) are defined here because the
+counters key their request table by them.
 
 Cumulative counters (requests by kind, errors, ingest totals) are exact
 state: they serialize into checkpoints and are replayed from write-ahead
@@ -20,13 +21,26 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from typing import Any, Deque, Dict, Mapping
+from typing import Any, Deque, Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.serving.queue import QUERY_KINDS
+__all__ = ["QUERY_KINDS", "ServiceCounters", "latency_summary"]
 
-__all__ = ["ServiceCounters"]
+#: Request kinds the serving layer understands.
+QUERY_KINDS = ("estimate", "loglik", "yield")
+
+
+def latency_summary(seconds: Sequence[float]) -> Dict[str, Any]:
+    """p50/p99 (milliseconds) and sample count of a latency window."""
+    if not seconds:
+        return {"latency_ms_p50": None, "latency_ms_p99": None, "latency_samples": 0}
+    arr = np.asarray(seconds) * 1e3
+    return {
+        "latency_ms_p50": float(np.percentile(arr, 50.0)),
+        "latency_ms_p99": float(np.percentile(arr, 99.0)),
+        "latency_samples": len(seconds),
+    }
 
 
 class ServiceCounters:
@@ -78,6 +92,11 @@ class ServiceCounters:
         with self._lock:
             self.wal_flushes += 1
 
+    def latencies(self) -> List[float]:
+        """The latency window in seconds, oldest first."""
+        with self._lock:
+            return list(self._latencies)
+
     def snapshot(self) -> Dict[str, Any]:
         """JSON-safe counter snapshot (latencies in milliseconds)."""
         with self._lock:
@@ -93,15 +112,7 @@ class ServiceCounters:
                 "wal_bytes": self.wal_bytes,
                 "wal_flushes": self.wal_flushes,
             }
-        if latencies:
-            arr = np.asarray(latencies) * 1e3
-            out["latency_ms_p50"] = float(np.percentile(arr, 50.0))
-            out["latency_ms_p99"] = float(np.percentile(arr, 99.0))
-            out["latency_samples"] = len(latencies)
-        else:
-            out["latency_ms_p50"] = None
-            out["latency_ms_p99"] = None
-            out["latency_samples"] = 0
+        out.update(latency_summary(latencies))
         return out
 
     def state_dict(self) -> Dict[str, Any]:

@@ -31,10 +31,9 @@ Supported operations (full field reference in ``docs/SERVING.md``):
 
 Errors never kill the loop: any :class:`~repro.exceptions.ReproError` or
 malformed-input error is reported on the offending response line and the
-loop keeps reading.  Queries taken through this module use the service's
-synchronous batch path (`MomentService.query_many`) — a single stdin
-reader gains nothing from cross-request coalescing, and determinism is
-worth more on the wire.
+loop keeps reading.  Every op goes through the one serving front door,
+:class:`~repro.serving.router.ShardedMomentService`, whatever its shard
+count; queries take its synchronous batch path (``query_many``).
 
 **Zero-copy arrays.**  Every array-valued request field (``samples``,
 ``prior_mean``, ``x``, spec bounds, suffstats ``mean``/``scatter``)
@@ -58,14 +57,13 @@ import base64
 import binascii
 import json
 import sys
-from typing import Any, Callable, Dict, IO, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, IO, Iterable, List, Optional
 
 import numpy as np
 
 from repro.exceptions import ConfigError, ReproError
 from repro.schemas import canonical_json
 from repro.serving.router import ShardedMomentService
-from repro.serving.service import MomentService
 from repro.core.prior import PriorKnowledge
 from repro.stats.suffstats import SufficientStats
 
@@ -73,7 +71,6 @@ __all__ = [
     "handle_request",
     "serve_loop",
     "PROTOCOL_OPS",
-    "ServingService",
     "WIRE_B64F64",
     "encode_array",
     "decode_array",
@@ -81,12 +78,6 @@ __all__ = [
 
 #: Marker value of the zero-copy float64 array envelope.
 WIRE_B64F64 = "b64f64"
-
-#: Any service the wire protocol can front: the single-process
-#: :class:`MomentService` or the sharded router.  Both expose the same
-#: session-lifecycle / ingest / synchronous-query surface; the protocol
-#: layer never reaches into stores or workers directly.
-ServingService = Union[MomentService, ShardedMomentService]
 
 #: Operations the wire protocol accepts.
 PROTOCOL_OPS = (
@@ -168,12 +159,12 @@ def _require(request: Dict[str, Any], field: str) -> Any:
         ) from None
 
 
-def _op_ping(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_ping(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     del service, request
     return {}
 
 
-def _op_create(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_create(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     prior = PriorKnowledge(
         mean=decode_array(_require(request, "prior_mean")),
@@ -198,7 +189,7 @@ def _op_create(service: ServingService, request: Dict[str, Any]) -> Dict[str, An
     }
 
 
-def _op_ingest(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_ingest(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     if "stats" in request:
         stats = _decode_stats(request["stats"])
@@ -211,7 +202,7 @@ def _op_ingest(service: ServingService, request: Dict[str, Any]) -> Dict[str, An
     return {"key": key, "ingested": folded, "n": total}
 
 
-def _op_estimate(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_estimate(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     estimate = service.query_many([("estimate", key, None)])[0]
     binary = request.get("encoding") == WIRE_B64F64
@@ -229,14 +220,14 @@ def _op_estimate(service: ServingService, request: Dict[str, Any]) -> Dict[str, 
     }
 
 
-def _op_loglik(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_loglik(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     x = decode_array(_require(request, "x"))
     value = service.query_many([("loglik", key, x)])[0]
     return {"key": key, "loglik": float(value)}
 
 
-def _op_yield(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_yield(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     lower = decode_array(_require(request, "lower"))
     upper = decode_array(_require(request, "upper"))
@@ -244,28 +235,28 @@ def _op_yield(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any
     return {"key": key, "yield": float(value)}
 
 
-def _op_sessions(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_sessions(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     del request
     return {"sessions": service.session_keys()}
 
 
-def _op_drop(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_drop(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     key = str(_require(request, "key"))
     return {"key": key, "dropped": service.drop_session(key)}
 
 
-def _op_stats(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_stats(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     del request
     return {"stats": service.stats()}
 
 
-def _op_checkpoint(service: ServingService, request: Dict[str, Any]) -> Dict[str, Any]:
+def _op_checkpoint(service: ShardedMomentService, request: Dict[str, Any]) -> Dict[str, Any]:
     path = str(_require(request, "path"))
     sha256 = service.checkpoint(path)
     return {"path": path, "sha256": sha256}
 
 
-_HANDLERS: Dict[str, Callable[[ServingService, Dict[str, Any]], Dict[str, Any]]] = {
+_HANDLERS: Dict[str, Callable[[ShardedMomentService, Dict[str, Any]], Dict[str, Any]]] = {
     "ping": _op_ping,
     "create": _op_create,
     "ingest": _op_ingest,
@@ -279,7 +270,7 @@ _HANDLERS: Dict[str, Callable[[ServingService, Dict[str, Any]], Dict[str, Any]]]
 }
 
 
-def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
+def handle_request(service: ShardedMomentService, line: str) -> Dict[str, Any]:
     """Decode one request line, execute it, and return the response dict.
 
     Never raises for client mistakes — malformed JSON, unknown ops,
@@ -321,7 +312,7 @@ def handle_request(service: ServingService, line: str) -> Dict[str, Any]:
 
 
 def serve_loop(
-    service: ServingService,
+    service: ShardedMomentService,
     lines: Optional[Iterable[str]] = None,
     out: Optional[IO[str]] = None,
 ) -> int:

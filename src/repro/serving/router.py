@@ -1,6 +1,7 @@
-"""Shard router: consistent-hash placement + merge-on-read scoring.
+"""Shard router: the one serving front door.
 
-:class:`ShardedMomentService` fans the serving workload out over N
+:class:`ShardedMomentService` serves every deployment, from the default
+single process (``n_shards=1``) to N
 :class:`~repro.serving.worker.ShardWorker` slices:
 
 * **Placement** — a sha256-based consistent-hash ring
@@ -8,32 +9,25 @@
   is a pure function of ``(n_shards, virtual_nodes, key)`` — stable
   across processes, platforms, and ``PYTHONHASHSEED`` — so any router
   instance (or an offline tool reading a WAL) computes the same
-  placement.  ``placement="spread"`` instead replicates every session on
-  all shards and rotates ingest blocks across them round-robin per key —
-  the configuration that exercises genuine multi-shard merges on every
-  query.
+  placement.  A session lives on its home shard only: the MAP update
+  needs just the additive statistics ``(n, X̄, S)``, so one worker holds
+  everything a query needs.
 * **Ingest coalescing** — accepted sample blocks are buffered per key
   and flushed to the owning worker as one stacked block once
   ``flush_rows`` rows accumulate (or at any read barrier: queries,
   checkpoints, listings).  This turns per-row Welford updates into block
-  Chan merges, which is where the multi-shard throughput win comes from
-  on a single-core box; the rounding difference is covered by the
-  documented 1e-10 equivalence bound.
-* **Merge-on-read queries** — the router snapshots the key's
-  per-shard :class:`~repro.stats.suffstats.SufficientStats`, Chan-merges
-  them in shard-index order (:func:`~repro.stats.suffstats.merge_all`),
-  and scores the merged session through the same
-  :class:`~repro.serving.scoring.BatchScorer` every other layer uses.
-  Mergeability of the sufficient-statistics triple is exactly the
-  paper's additivity property — sharding falls out of the statistics,
-  not of new math.
-
-Single-shard mode is the compatibility gate: ``n_shards=1`` with
-``flush_rows=1`` and no WAL routes every call straight through to the
-one worker, reproducing the pre-shard
-:class:`~repro.serving.service.MomentService` bit-for-bit — counters,
-eviction order, and checkpoint bytes (the equivalence suite compares the
-files byte-wise).
+  Chan merges; the rounding difference is covered by the documented
+  1e-10 equivalence bound.  ``flush_rows=1`` hands every block straight
+  to its worker unchanged.
+* **Queries** — one path for every shard count: kinds are validated and
+  :class:`~repro.serving.scoring.Request` objects built once, grouped by
+  home shard, and each worker counts, logs, and scores its group through
+  the shared :class:`~repro.serving.scoring.BatchScorer`.  Answers come
+  back in submission order.
+* **Checkpoint layout** — a one-shard service without a WAL checkpoints
+  to a single ``repro.serving-checkpoint.v1`` file (the bare worker's
+  bytes); every other service writes a manifest directory.
+  :meth:`ShardedMomentService.restore` reads either.
 """
 
 from __future__ import annotations
@@ -44,24 +38,23 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.core.estimators import MomentEstimate
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import ConfigError, SessionNotFoundError
-from repro.experiments.parallel import thread_map
+from repro.exceptions import ConfigError
 from repro.io import check_schema_version, write_json_atomic
 from repro.schemas import MANIFEST_SCHEMA
-from repro.serving.counters import ServiceCounters
-from repro.serving.queue import QUERY_KINDS, Request
-from repro.serving.scoring import BatchScorer
+from repro.serving.checkpoint import load_checkpoint
+from repro.serving.counters import QUERY_KINDS, ServiceCounters, latency_summary
+from repro.serving.scoring import Request
 from repro.serving.sessions import Session
 from repro.serving.wal import DEFAULT_FLUSH_BYTES, WriteAheadLog
 from repro.serving.worker import ShardWorker
-from repro.stats.suffstats import SufficientStats, merge_all
+from repro.stats.suffstats import SufficientStats
 
 __all__ = ["HashRing", "ShardedMomentService", "MANIFEST_SCHEMA"]
 
@@ -71,8 +64,8 @@ __all__ = ["HashRing", "ShardedMomentService", "MANIFEST_SCHEMA"]
 #: Structural version of the manifest layout.
 MANIFEST_SCHEMA_VERSION = 1
 
-#: Placement policies the router understands.
-PLACEMENTS = ("hash", "spread")
+#: The placement policy manifests record (the only one there is).
+PLACEMENT = "hash"
 
 #: WAL on-disk formats the router can create (existing logs auto-detect).
 WAL_FORMATS = ("v1", "v2")
@@ -140,27 +133,21 @@ class HashRing:
 
 
 class ShardedMomentService:
-    """N-shard serving stack behind one service-shaped interface.
+    """The serving stack: N shard workers behind one interface.
 
     Parameters
     ----------
     n_shards:
-        Worker count.  ``1`` with the default ``flush_rows`` is the
-        bit-identical compatibility mode.
+        Worker count (default ``1``, the single-process service).
     max_sessions_per_shard, ttl_ops:
         Per-shard store bounds.
-    placement:
-        ``"hash"`` — each key lives on its ring shard; queries read one
-        shard.  ``"spread"`` — each key lives on *every* shard with
-        ingest rotated round-robin; queries Chan-merge all shards
-        (merge-on-read).
     flush_rows:
         Ingest-coalescing threshold in rows.  ``None`` resolves to ``1``
         (no coalescing) for ``n_shards == 1`` and ``64`` otherwise.
     wal_dir:
         Directory for per-shard write-ahead logs (``shard-NNN.wal``).
         ``None`` disables logging.  Fresh logs only — recovering existing
-        logs goes through :meth:`restore`.
+        logs goes through :meth:`restore` or :meth:`recover`.
     wal_format:
         On-disk format of *new* logs: ``"v2"`` (default — binary frames,
         raw float64 buffers, the ingest fast path) or ``"v1"`` (JSON
@@ -180,12 +167,9 @@ class ShardedMomentService:
         delta logging.
     virtual_nodes:
         Ring resolution (see :class:`HashRing`).
-    n_jobs:
-        Thread fan-out for cross-shard operations (spread-mode collection
-        and per-shard checkpointing), normalised by
-        :func:`~repro.experiments.parallel.resolve_n_jobs`.
     linalg_backend:
-        Kernel backend for all scoring math.
+        Kernel backend for all scoring math (``None`` keeps the ambient
+        process selection).  Runtime configuration, not checkpointed.
     """
 
     def __init__(
@@ -193,7 +177,6 @@ class ShardedMomentService:
         n_shards: int = 1,
         max_sessions_per_shard: int = 1024,
         ttl_ops: Optional[int] = None,
-        placement: str = "hash",
         flush_rows: Optional[int] = None,
         wal_dir: Optional[PathLike] = None,
         wal_format: str = "v2",
@@ -201,42 +184,24 @@ class ShardedMomentService:
         wal_flush_bytes: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
         virtual_nodes: int = 64,
-        n_jobs: Optional[int] = 1,
         linalg_backend: Optional[str] = None,
     ) -> None:
-        if placement not in PLACEMENTS:
-            raise ConfigError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
         if wal_format not in WAL_FORMATS:
             raise ConfigError(
                 f"unknown wal_format {wal_format!r}; expected one of {WAL_FORMATS}"
             )
         self.ring = HashRing(n_shards, virtual_nodes=virtual_nodes)
-        self.placement = placement
         if flush_rows is None:
             flush_rows = 1 if n_shards == 1 else 64
         if int(flush_rows) < 1:
             raise ConfigError(f"flush_rows must be >= 1, got {flush_rows}")
         self.flush_rows = int(flush_rows)
-        wal_version = 2 if wal_format == "v2" else 1
-        flush_records, flush_bytes = _resolve_wal_flush(
-            wal_version, wal_flush_records, wal_flush_bytes
-        )
-        self._n_jobs = n_jobs
-        self._linalg_backend = linalg_backend
         self.workers: List[ShardWorker] = []
         for shard in range(self.ring.n_shards):
             wal: Optional[WriteAheadLog] = None
             if wal_dir is not None:
-                directory = Path(wal_dir)
-                directory.mkdir(parents=True, exist_ok=True)
-                wal = WriteAheadLog.create(
-                    directory / f"shard-{shard:03d}.wal",
-                    shard_id=shard,
-                    version=wal_version,
-                    flush_records=flush_records,
-                    flush_bytes=flush_bytes,
+                wal = _create_wal(
+                    Path(wal_dir), shard, wal_format, wal_flush_records, wal_flush_bytes
                 )
             self.workers.append(
                 ShardWorker(
@@ -248,8 +213,9 @@ class ShardedMomentService:
                     linalg_backend=linalg_backend,
                 )
             )
+        # Router-level ingest totals (accepted calls, before coalescing);
+        # request, error, and latency counts live on the workers.
         self.counters = ServiceCounters()
-        self.scorer = BatchScorer(self.counters, linalg_backend=linalg_backend)
         # Ingest-side shared state below is mutated by whichever thread
         # calls ingest/flush/drop (protocol loops, load generators, tests
         # with client pools), so every mutation holds this lock — worker
@@ -260,8 +226,6 @@ class ShardedMomentService:
         # per-key ingest buffers: list of (n, d) blocks + pending row count
         self._buffers: Dict[str, List[np.ndarray]] = {}
         self._buffered_rows: Dict[str, int] = {}
-        # per-key round-robin cursor (spread placement)
-        self._rotation: Dict[str, int] = {}
         # per-key rows routed through this router (monotone; survives flushes)
         self._routed_rows: Dict[str, int] = {}
 
@@ -275,12 +239,7 @@ class ShardedMomentService:
         return self.ring.shard_for(str(key))
 
     def _home(self, key: str) -> ShardWorker:
-        return self.workers[self.ring.shard_for(str(key))]
-
-    @property
-    def _passthrough(self) -> bool:
-        """Single-shard + no coalescing: the bit-identical compat mode."""
-        return self.ring.n_shards == 1 and self.flush_rows == 1
+        return self.workers[self.ring.shard_for(key)]
 
     # ------------------------------------------------------------------
     # session lifecycle
@@ -293,22 +252,19 @@ class ShardedMomentService:
         v0: Optional[float] = None,
         exist_ok: bool = False,
     ) -> Session:
-        """Register a population on its home shard (all shards for spread)."""
+        """Register a population with its early-stage prior on its home shard.
+
+        ``(kappa0, v0)`` default to the weakly-informative corner
+        ``(1, d + 1)`` — streaming cannot re-run the paper's CV per die;
+        pin values selected offline for production use.
+        """
         key = str(key)
-        if self.placement == "spread":
-            sessions = [
-                worker.create_session(
-                    key, prior, kappa0=kappa0, v0=v0, exist_ok=exist_ok
-                )
-                for worker in self.workers
-            ]
-            return sessions[0]
         return self._home(key).create_session(
             key, prior, kappa0=kappa0, v0=v0, exist_ok=exist_ok
         )
 
     def drop_session(self, key: str) -> bool:
-        """Remove a session everywhere it lives; returns whether it existed.
+        """Remove a session; returns whether it existed.
 
         Pending buffered rows for the key are flushed first — a drop
         covers everything accepted before it, in order.
@@ -316,9 +272,6 @@ class ShardedMomentService:
         key = str(key)
         with self._ingest_lock:
             self._flush_key_locked(key)
-        if self.placement == "spread":
-            dropped = [worker.drop_session(key) for worker in self.workers]
-            return any(dropped)
         return self._home(key).drop_session(key)
 
     def session_keys(self) -> List[str]:
@@ -333,25 +286,23 @@ class ShardedMomentService:
     # ingest (coalesced)
     # ------------------------------------------------------------------
     def ingest(self, key: str, samples: ArrayLike) -> int:
-        """Accept a sample block for a session; returns the total number of
-        rows routed to that key through this router.
+        """Accept a sample block for a session; returns a running row count.
 
-        With ``flush_rows > 1`` the rows are buffered and folded into the
-        owning worker as one stacked block later (next threshold crossing
-        or read barrier) — numerically a Chan block merge instead of
-        per-row Welford updates, within the 1e-10 serving bound.  The
-        return value counts *accepted* rows; the worker's own session
-        total advances at flush time.
+        With ``flush_rows == 1`` the block goes straight to the owning
+        worker and the return value is the session's new total.  With
+        ``flush_rows > 1`` the rows are buffered and folded into the
+        worker as one stacked block later (next threshold crossing or
+        read barrier) — numerically a Chan block merge instead of per-row
+        Welford updates, within the 1e-10 serving bound — and the return
+        value counts the rows accepted for the key through this router.
         """
         key = str(key)
         arr = np.asarray(samples, dtype=float)
         rows = 1 if arr.ndim == 1 else arr.shape[0]
         self.counters.record_ingest(rows)
         with self._ingest_lock:
-            if self._passthrough:
-                self.workers[0].ingest(key, arr)
-                self._routed_rows[key] = self._routed_rows.get(key, 0) + rows
-                return self._routed_rows[key]
+            if self.flush_rows == 1:
+                return self._home(key).ingest(key, arr)
             block = arr[None, :] if arr.ndim == 1 else arr
             self._buffers.setdefault(key, []).append(block)
             pending = self._buffered_rows.get(key, 0) + int(block.shape[0])
@@ -372,15 +323,7 @@ class ShardedMomentService:
         with self._ingest_lock:
             self._flush_key_locked(key)
             self._routed_rows[key] = self._routed_rows.get(key, 0) + stats.n
-            return self._ingest_worker_locked(key).ingest_stats(key, stats)
-
-    def _ingest_worker_locked(self, key: str) -> ShardWorker:
-        """The worker the *next* block for ``key`` goes to (lock held)."""
-        if self.placement == "spread":
-            cursor = self._rotation.get(key, 0)
-            self._rotation[key] = cursor + 1
-            return self.workers[cursor % self.ring.n_shards]
-        return self._home(key)
+            return self._home(key).ingest_stats(key, stats)
 
     def _flush_key_locked(self, key: str) -> None:
         """Fold ``key``'s buffered blocks into its worker (lock held)."""
@@ -389,7 +332,7 @@ class ShardedMomentService:
         if not blocks:
             return
         stacked = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-        self._ingest_worker_locked(key).ingest(key, stacked)
+        self._home(key).ingest(key, stacked)
 
     def flush(self) -> None:
         """Flush every ingest buffer (deterministic key order)."""
@@ -398,71 +341,41 @@ class ShardedMomentService:
                 self._flush_key_locked(key)
 
     # ------------------------------------------------------------------
-    # queries (merge-on-read)
+    # queries
     # ------------------------------------------------------------------
-    def _merged_snapshot(self, key: str) -> Session:
-        """Session snapshot for scoring: collected and Chan-merged.
-
-        Hash placement reads the home shard only; spread placement
-        collects every shard's partial statistics (thread fan-out) and
-        merges them in shard-index order — deterministic, so repeated
-        queries of an unchanged key bit-agree.
-        """
-        if self.placement != "spread":
-            return self._home(key).collect(key)
-
-        def grab(worker: ShardWorker) -> Optional[Session]:
-            try:
-                return worker.collect(key)
-            except SessionNotFoundError:
-                return None
-
-        views = [
-            view
-            for view in thread_map(grab, self.workers, n_jobs=self._n_jobs)
-            if view is not None
-        ]
-        if not views:
-            raise SessionNotFoundError(
-                f"no session {key!r} on any shard (never created, or evicted)"
-            )
-        merged = views[0]
-        merged.stats = merge_all([view.stats for view in views])
-        return merged
-
     def query_many(self, queries: Sequence[Tuple[str, str, Any]]) -> List[Any]:
-        """Score ``(kind, key, payload)`` queries as one merged batch.
+        """Score ``(kind, key, payload)`` queries; answers in submission order.
 
-        Ingest buffers are flushed first (read-your-writes), then the
-        router collects per-shard statistics, merges, and scores through
-        the shared grouped scorer.  Single-shard compat mode delegates to
-        the worker so counters land exactly where the pre-shard service
-        put them.
+        Ingest buffers are flushed first (read-your-writes).  Every kind
+        is validated before anything is counted or scored; then each home
+        shard's worker scores its requests as one grouped batch.  Raises
+        the first request error encountered, in submission order.
         """
         self.flush()
-        if self.ring.n_shards == 1:
-            return self.workers[0].query_many(queries)
-        requests: List[Request] = []
         now = time.perf_counter()
+        requests: List[Request] = []
         for kind, key, payload in queries:
             if kind not in QUERY_KINDS:
                 raise ConfigError(
                     f"unknown request kind {kind!r}; expected {QUERY_KINDS}"
                 )
-            self.counters.record_request(kind)
             requests.append(
                 Request(kind=kind, key=str(key), payload=payload, submitted_at=now)
             )
-        self.scorer.score(requests, self._merged_snapshot)
+        by_shard: Dict[int, List[Request]] = {}
+        for request in requests:
+            by_shard.setdefault(self.ring.shard_for(request.key), []).append(request)
+        for shard, batch in by_shard.items():
+            self.workers[shard].score_requests(batch)
         return [request.future.result() for request in requests]
 
     def estimate(self, key: str) -> MomentEstimate:
-        """MAP-estimate query for one session (synchronous)."""
+        """MAP-estimate query for one session."""
         result: MomentEstimate = self.query_many([("estimate", key, None)])[0]
         return result
 
     def loglik(self, key: str, x: ArrayLike) -> float:
-        """Log-likelihood of ``x`` under the session's merged MAP."""
+        """Log-likelihood of ``x`` under the session's MAP."""
         return float(self.query_many([("loglik", key, np.asarray(x, dtype=float))])[0])
 
     def yield_prob(self, key: str, lower: ArrayLike, upper: ArrayLike) -> float:
@@ -474,82 +387,113 @@ class ShardedMomentService:
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
-        """Router counters plus per-shard snapshots and fleet totals."""
+        """Fleet totals plus per-shard snapshots.
+
+        Requests, errors, and latencies are summed (pooled) over the
+        shards; ``ingest_calls``/``ingested_samples`` count calls accepted
+        by this router, before coalescing.
+        """
         self.flush()
-        out = self.counters.snapshot()
         shards = [worker.stats() for worker in self.workers]
+        out = self._counter_state()
+        out["requests_total"] = sum(out["requests"].values())
+        out.update(
+            latency_summary(
+                [t for worker in self.workers for t in worker.counters.latencies()]
+            )
+        )
         out["n_shards"] = self.ring.n_shards
-        out["placement"] = self.placement
+        out["placement"] = PLACEMENT
         out["flush_rows"] = self.flush_rows
         out["sessions_live"] = sum(s["sessions_live"] for s in shards)
         out["sessions_evicted"] = sum(s["sessions_evicted"] for s in shards)
         # WAL append/flush gauges accrue on the worker counters (each log
-        # observes its worker); surface the fleet totals at router level
-        out["wal_records"] = sum(s["wal_records"] for s in shards)
-        out["wal_bytes"] = sum(s["wal_bytes"] for s in shards)
-        out["wal_flushes"] = sum(s["wal_flushes"] for s in shards)
+        # observes its worker)
+        for gauge in ("wal_records", "wal_bytes", "wal_flushes"):
+            out[gauge] = sum(s[gauge] for s in shards)
         out["shards"] = shards
         return out
 
-    def _reconcile_counters(self, base: Optional[Dict[str, Any]] = None) -> None:
-        """Rebuild router-level counters after a recovery.
-
-        Worker counters are exact post-replay state, so the router totals
-        start as their sum.  ``base`` (a manifest ``counters`` state dict)
-        is folded in by elementwise max: in single-shard mode every count
-        also lives on the worker, so the fresher worker sum wins; in
-        multi-shard mode request kinds are counted only on the router
-        (worker ``collect`` touch records carry ``kinds={}``), so the
-        checkpointed value is the best available — it lags by whatever
-        queries arrived after the checkpoint, and ``ingest_calls`` counts
-        post-coalescing blocks rather than accepted calls on a WAL-only
-        recovery.  Both limits are documented in ``docs/SERVING.md``.
-        """
+    def _counter_state(self) -> Dict[str, Any]:
+        """Cumulative fleet counters in ``ServiceCounters.state_dict`` form:
+        request and error sums over the shards, ingest totals of the router."""
         requests: Dict[str, int] = {kind: 0 for kind in QUERY_KINDS}
         errors = 0
-        ingest_calls = 0
-        ingested_samples = 0
         for worker in self.workers:
             state = worker.counters.state_dict()
             for kind, count in state["requests"].items():
-                requests[kind] = requests.get(kind, 0) + int(count)
-            errors += int(state["errors"])
-            ingest_calls += int(state["ingest_calls"])
-            ingested_samples += int(state["ingested_samples"])
+                requests[kind] = requests.get(kind, 0) + count
+            errors += state["errors"]
+        out = self.counters.state_dict()
+        out["requests"] = requests
+        out["errors"] = errors
+        return out
+
+    def _reconcile_counters(self, base: Optional[Dict[str, Any]] = None) -> None:
+        """Rebuild the router's counters after a restore or recovery.
+
+        Worker counters are exact post-replay state, so the router's
+        ingest totals start as their sum.  ``base`` (a manifest
+        ``counters`` state dict) is folded in by elementwise max: the
+        router counts accepted calls while workers count post-coalescing
+        blocks, so the checkpointed value is the better one until a WAL
+        tail outgrows it.  Manifests written before workers counted their
+        own requests hold multi-shard request and error counts only at
+        the top level; any excess over the shard sums is credited to
+        shard 0, so the fleet totals survive the restore.
+        """
+        calls = sum(w.counters.ingest_calls for w in self.workers)
+        samples = sum(w.counters.ingested_samples for w in self.workers)
         if base is not None:
+            calls = max(calls, int(base["ingest_calls"]))
+            samples = max(samples, int(base["ingested_samples"]))
+            fleet = self._counter_state()
+            shard0 = self.workers[0].counters.state_dict()
             for kind, count in base["requests"].items():
-                requests[kind] = max(requests.get(kind, 0), int(count))
-            errors = max(errors, int(base["errors"]))
-            ingest_calls = max(ingest_calls, int(base["ingest_calls"]))
-            ingested_samples = max(ingested_samples, int(base["ingested_samples"]))
+                missing = int(count) - fleet["requests"].get(str(kind), 0)
+                if missing > 0:
+                    shard0["requests"][str(kind)] = shard0["requests"].get(str(kind), 0) + missing
+            shard0["errors"] += max(int(base["errors"]) - fleet["errors"], 0)
+            self.workers[0].counters.load_state_dict(shard0)
         self.counters.load_state_dict(
-            {
-                "requests": requests,
-                "errors": errors,
-                "ingest_calls": ingest_calls,
-                "ingested_samples": ingested_samples,
-            }
+            {"requests": {}, "errors": 0, "ingest_calls": calls, "ingested_samples": samples}
         )
 
     # ------------------------------------------------------------------
     # checkpoint / restore / compaction
     # ------------------------------------------------------------------
-    def _shard_file(self, shard: int) -> str:
-        return f"shard-{shard:03d}.ckpt"
+    def _save(self, path: PathLike, save: Callable[[ShardWorker, Path], str]) -> str:
+        """Write the checkpoint layout this service owns; returns its sha256.
 
-    def _write_manifest(self, directory: Path, shas: List[str]) -> str:
+        A one-shard service without a WAL writes the bare worker's single
+        file.  Every other service writes one checkpoint per shard plus a
+        manifest binding them (per-shard sha256 and the WAL offset each
+        covers) and returns the manifest's sha256.
+        """
+        self.flush()
+        target = Path(path)
+        if self.ring.n_shards == 1 and self.workers[0].wal is None:
+            return save(self.workers[0], target)
+        if target.is_file():
+            raise ConfigError(
+                f"{target} is a single-file checkpoint; a service with "
+                f"{self.ring.n_shards} shard(s) and write-ahead logs "
+                "checkpoints to a manifest directory"
+            )
+        target.mkdir(parents=True, exist_ok=True)
+        shas = [
+            save(worker, target / _shard_file(shard))
+            for shard, worker in enumerate(self.workers)
+        ]
         entries: List[Dict[str, Any]] = []
         for shard, worker in enumerate(self.workers):
             wal_entry: Optional[Dict[str, Any]] = None
             if worker.wal is not None:
-                wal_entry = {
-                    "file": worker.wal.path.name,
-                    "seq": worker.wal.last_seq,
-                }
+                wal_entry = {"file": worker.wal.path.name, "seq": worker.wal.last_seq}
             entries.append(
                 {
                     "shard": shard,
-                    "file": self._shard_file(shard),
+                    "file": _shard_file(shard),
                     "sha256": shas[shard],
                     "wal": wal_entry,
                 }
@@ -559,74 +503,77 @@ class ShardedMomentService:
             "schema_version": MANIFEST_SCHEMA_VERSION,
             "n_shards": self.ring.n_shards,
             "virtual_nodes": self.ring.virtual_nodes,
-            "placement": self.placement,
+            "placement": PLACEMENT,
             "shards": entries,
-            "counters": self.counters.state_dict(),
+            "counters": self._counter_state(),
         }
-        encoded = write_json_atomic(manifest, directory / "manifest.json")
+        encoded = write_json_atomic(manifest, target / "manifest.json")
         return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
-    def checkpoint(self, directory: PathLike) -> str:
-        """Snapshot every shard + a manifest; returns the manifest sha256.
+    def checkpoint(self, path: PathLike) -> str:
+        """Snapshot the full service state (see :meth:`_save` for the
+        layout); returns the sha256.  Buffers are flushed first and every
+        file is individually atomic and self-verifying."""
+        return self._save(path, ShardWorker.checkpoint)
 
-        Buffers are flushed first, each shard checkpoint is individually
-        atomic and self-verifying, and the manifest binds them together
-        (per-shard sha256 + the WAL offset each covers).
-        """
-        self.flush()
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        shas = thread_map(
-            lambda shard: self.workers[shard].checkpoint(
-                target / self._shard_file(shard)
-            ),
-            range(self.ring.n_shards),
-            n_jobs=self._n_jobs,
-        )
-        return self._write_manifest(target, list(shas))
-
-    def compact(self, directory: PathLike) -> str:
+    def compact(self, path: PathLike) -> str:
         """Checkpoint, then truncate each shard's replayed WAL prefix.
 
         Equivalent to :meth:`checkpoint` followed by per-shard
-        ``truncate_through(covered_seq)``; the manifest records the
+        ``truncate_through(covered_seq)``; a manifest records the
         post-compaction (empty-tail) WAL offsets.
         """
-        self.flush()
-        target = Path(directory)
-        target.mkdir(parents=True, exist_ok=True)
-        shas = thread_map(
-            lambda shard: self.workers[shard].compact(
-                target / self._shard_file(shard)
-            ),
-            range(self.ring.n_shards),
-            n_jobs=self._n_jobs,
-        )
-        return self._write_manifest(target, list(shas))
+        return self._save(path, ShardWorker.compact)
 
     @classmethod
     def restore(
         cls,
-        directory: PathLike,
+        path: PathLike,
         wal_dir: Optional[PathLike] = None,
         flush_rows: Optional[int] = None,
         wal_flush_records: Optional[int] = None,
         wal_flush_bytes: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
-        n_jobs: Optional[int] = 1,
         linalg_backend: Optional[str] = None,
     ) -> "ShardedMomentService":
-        """Rebuild a sharded service from a manifest directory.
+        """Rebuild a service from a single-file or manifest checkpoint.
 
         Each shard restores from its (self-verifying) checkpoint; when
-        ``wal_dir`` is given, each shard's log is recovered
-        (torn tails dropped, chains verified, on-disk format
-        auto-detected) and only the records past the checkpoint's covered
-        offset are replayed — the tail, not the whole history.  Group
-        commit resumes with the recovered log's format defaults unless
+        ``wal_dir`` is given, each shard's log is recovered (torn tails
+        dropped, chains verified, on-disk format auto-detected) and only
+        the records past the checkpoint's covered offset are replayed —
+        the tail, not the whole history.  A single-file checkpoint
+        restored with a ``wal_dir`` that holds no log yet starts a fresh
+        v2 log there, numbered on from the offset the file covers.  Group
+        commit resumes with the log format's defaults unless
         ``wal_flush_records``/``wal_flush_bytes`` override them.
         """
-        target = Path(directory)
+        target = Path(path)
+        if target.is_file():
+            wal: Optional[WriteAheadLog] = None
+            if wal_dir is not None:
+                logs = sorted(Path(wal_dir).glob("shard-*.wal"))
+                if len(logs) > 1:
+                    raise ConfigError(
+                        f"{target} is a one-shard checkpoint but {wal_dir} "
+                        f"holds {len(logs)} shard logs"
+                    )
+                if logs:
+                    wal = WriteAheadLog.open(
+                        logs[0], flush_records=wal_flush_records, flush_bytes=wal_flush_bytes
+                    )
+                else:
+                    covered = int(load_checkpoint(target).get("wal", {}).get("seq", 0))
+                    wal = _create_wal(
+                        Path(wal_dir), 0, "v2", wal_flush_records, wal_flush_bytes, covered
+                    )
+            service = cls(flush_rows=flush_rows, linalg_backend=linalg_backend)
+            service.workers[0] = ShardWorker.restore(
+                target, wal=wal, wal_delta_rows=wal_delta_rows, linalg_backend=linalg_backend
+            )
+            service._reconcile_counters()
+            return service
+
         try:
             manifest = json.loads((target / "manifest.json").read_text())
         except FileNotFoundError as exc:
@@ -639,17 +586,19 @@ class ShardedMomentService:
                 f"(expected schema {MANIFEST_SCHEMA!r})"
             )
         check_schema_version(manifest, MANIFEST_SCHEMA_VERSION, "shard manifest")
+        if manifest.get("placement") != PLACEMENT:
+            raise ConfigError(
+                f"shard manifest field 'placement' is {manifest.get('placement')!r}; "
+                f"only {PLACEMENT!r} placement is supported"
+            )
         service = cls(
             n_shards=int(manifest["n_shards"]),
-            placement=str(manifest["placement"]),
             flush_rows=flush_rows,
-            wal_dir=None,
             virtual_nodes=int(manifest["virtual_nodes"]),
-            n_jobs=n_jobs,
             linalg_backend=linalg_backend,
         )
         for shard, entry in enumerate(manifest["shards"]):
-            wal: Optional[WriteAheadLog] = None
+            wal = None
             if wal_dir is not None and entry.get("wal") is not None:
                 wal_path = Path(wal_dir) / str(entry["wal"]["file"])
                 if wal_path.exists():
@@ -676,16 +625,14 @@ class ShardedMomentService:
         wal_dir: PathLike,
         max_sessions_per_shard: int = 1024,
         ttl_ops: Optional[int] = None,
-        placement: str = "hash",
         flush_rows: Optional[int] = None,
         wal_flush_records: Optional[int] = None,
         wal_flush_bytes: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
         virtual_nodes: int = 64,
-        n_jobs: Optional[int] = 1,
         linalg_backend: Optional[str] = None,
     ) -> "ShardedMomentService":
-        """Rebuild a sharded service from its WALs alone (no checkpoint).
+        """Rebuild a service from its WALs alone (no checkpoint).
 
         The crash-before-first-checkpoint path: every ``shard-NNN.wal``
         in the directory is recovered (torn tail dropped, chain
@@ -704,11 +651,8 @@ class ShardedMomentService:
             n_shards=len(wal_paths),
             max_sessions_per_shard=max_sessions_per_shard,
             ttl_ops=ttl_ops,
-            placement=placement,
             flush_rows=flush_rows,
-            wal_dir=None,
             virtual_nodes=virtual_nodes,
-            n_jobs=n_jobs,
             linalg_backend=linalg_backend,
         )
         for shard, path in enumerate(wal_paths):
@@ -727,10 +671,9 @@ class ShardedMomentService:
             )
             worker.replay(wal)
             service.workers[shard] = worker
-        # Router counters are not logged anywhere; the shard sums are the
-        # best WAL-only reconstruction (exact in single-shard mode, which
-        # routes requests through the worker; multi-shard request kinds
-        # are router-only state and restart from the replayed touches).
+        # Router ingest totals are not logged anywhere; the shard sums are
+        # the best WAL-only reconstruction (they count post-coalescing
+        # blocks rather than accepted calls).
         service._reconcile_counters()
         return service
 
@@ -747,3 +690,29 @@ class ShardedMomentService:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+def _shard_file(shard: int) -> str:
+    return f"shard-{shard:03d}.ckpt"
+
+
+def _create_wal(
+    directory: Path,
+    shard: int,
+    wal_format: str,
+    flush_records: Optional[int],
+    flush_bytes: Optional[int],
+    base_seq: int = 0,
+) -> WriteAheadLog:
+    """Start shard ``shard``'s log in ``directory`` (created if missing)."""
+    version = 2 if wal_format == "v2" else 1
+    records, nbytes = _resolve_wal_flush(version, flush_records, flush_bytes)
+    directory.mkdir(parents=True, exist_ok=True)
+    return WriteAheadLog.create(
+        directory / f"shard-{shard:03d}.wal",
+        shard_id=shard,
+        base_seq=base_seq,
+        version=version,
+        flush_records=records,
+        flush_bytes=nbytes,
+    )

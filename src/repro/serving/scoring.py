@@ -1,8 +1,7 @@
 """Grouped batch scoring: the arithmetic core shared by every serving layer.
 
-One :class:`BatchScorer` answers a list of coalesced
-:class:`~repro.serving.queue.Request` objects by grouping them into
-stacked-kernel calls:
+One :class:`BatchScorer` answers a list of :class:`Request` objects by
+grouping them into stacked-kernel calls:
 
 ``estimate``
     one vectorised Eq. (31)–(32) pass per distinct metric dimension
@@ -16,23 +15,18 @@ stacked-kernel calls:
     call per distinct bounds set.
 
 The scorer is deliberately ignorant of *where* sessions live: callers
-supply a ``snapshot_one(key) -> Session`` callable.  The single-process
-:class:`~repro.serving.service.MomentService` hands it a session-store
-snapshot; a shard worker hands it its own store slice; the shard router
-hands it sessions whose sufficient statistics were Chan-merged from many
-workers (merge-on-read).  All three therefore answer through literally the
-same code, which is what makes the sharded equivalence guarantees cheap to
-state: any difference is in the statistics handed in, never in the scoring.
-
-This code was extracted verbatim from the PR-5 ``MomentService`` —
-group-by ordering, repair ladder, and accumulation order are unchanged, so
-pre-refactor answers are reproduced bit-for-bit.
+supply a ``snapshot_one(key) -> Session`` callable.  Each shard worker
+hands it its own store slice, and the router sends every query to the
+worker of its key's home shard, so every answer comes from this one code
+path for any shard count.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from concurrent.futures import Future
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
@@ -46,12 +40,11 @@ from repro.linalg.batched import (
     solve_triangular_batched,
 )
 from repro.serving.counters import ServiceCounters
-from repro.serving.queue import Request
 from repro.serving.sessions import Session
 from repro.serving.suffstats import map_moments_stack
 from repro.yieldest.parametric import gaussian_box_probabilities
 
-__all__ = ["BatchScorer", "SnapshotFn"]
+__all__ = ["BatchScorer", "Request", "SnapshotFn"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -60,9 +53,37 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _CHOL_JITTER = 1e-10
 _CHOL_CLIP = 1e-10
 
+
+@dataclass
+class Request:
+    """One pending query.
+
+    Attributes
+    ----------
+    kind:
+        One of :data:`~repro.serving.counters.QUERY_KINDS`.
+    key:
+        Target session key.
+    payload:
+        Kind-specific argument (``None`` for ``estimate``, an ``(n, d)``
+        sample block for ``loglik``, a ``(lower, upper)`` bounds pair for
+        ``yield``).
+    future:
+        Resolved by the scorer with the query result.
+    submitted_at:
+        ``time.perf_counter()`` stamp for the latency counters.
+    """
+
+    kind: str
+    key: str
+    payload: Any
+    future: "Future[Any]" = field(default_factory=Future)
+    submitted_at: float = 0.0
+
+
 #: Resolves a session key to a frozen :class:`Session` snapshot; raises a
 #: :class:`~repro.exceptions.ReproError` subclass when the key cannot be
-#: served (missing session, failed shard collection, ...).
+#: served (never created, or evicted).
 SnapshotFn = Callable[[str], Session]
 
 

@@ -1,11 +1,11 @@
-"""Serving-side view of the sufficient-statistics substrate.
+"""Stacked MAP kernel over the sufficient-statistics substrate.
 
 The accumulator itself lives in :mod:`repro.stats.suffstats` (the stats
 layer) so the batch estimators in :mod:`repro.core` can funnel through the
-same arithmetic without a layering back-edge; this module re-exports it
-for serving callers and adds the *stacked* MAP kernel the micro-batching
-queue scores coalesced ``estimate`` queries with: one vectorised pass of
-Eq. (31)–(32) over ``B`` sessions instead of ``B`` Python-level calls.
+same arithmetic without a layering back-edge.  This module adds the
+*stacked* MAP kernel the batch scorer answers grouped ``estimate`` queries
+with: one vectorised pass of Eq. (31)–(32) over ``B`` sessions instead of
+``B`` Python-level calls.
 """
 
 from __future__ import annotations
@@ -16,9 +16,8 @@ import numpy as np
 
 from repro.exceptions import DimensionError, HyperParameterError
 from repro.linalg.batched import clip_eigenvalues_batched, symmetrize_batched
-from repro.stats.suffstats import SufficientStats, merge_all
 
-__all__ = ["SufficientStats", "merge_all", "map_moments_stack"]
+__all__ = ["map_moments_stack"]
 
 #: Eigenvalue floor applied to stacked MAP covariances; identical to the
 #: scalar floor in :meth:`repro.core.bmf.BMFEstimator.estimate`.

@@ -1,12 +1,13 @@
 """Shard worker: one session-store slice + write-ahead log + batch scorer.
 
-A :class:`ShardWorker` is the unit the sharded serving stack replicates:
-it owns one :class:`~repro.serving.sessions.SessionStore` slice, its own
+A :class:`ShardWorker` is the unit the serving stack replicates: it owns
+one :class:`~repro.serving.sessions.SessionStore` slice, its own
 :class:`~repro.serving.counters.ServiceCounters`, a
 :class:`~repro.serving.scoring.BatchScorer`, and (optionally) a
-:class:`~repro.serving.wal.WriteAheadLog`.  The single-process
-:class:`~repro.serving.service.MomentService` is exactly one worker with
-a micro-batch queue in front; the shard router owns N of them.
+:class:`~repro.serving.wal.WriteAheadLog`.  The router
+(:class:`~repro.serving.router.ShardedMomentService`) owns N of them; one
+worker holds a whole serving state, because the MAP update needs only the
+additive statistics ``(n, X̄, S)``.
 
 **Log-then-apply.**  Every state mutation — session create/drop, ingest,
 statistics merge, and the logical-clock ticks queries cause ("touch"
@@ -40,21 +41,19 @@ covered checkpoint).
 
 from __future__ import annotations
 
-import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.core.prior import PriorKnowledge
-from repro.exceptions import ConfigError, ReproError, SessionNotFoundError
+from repro.exceptions import ConfigError, ReproError
 from repro.serving.checkpoint import load_checkpoint, save_checkpoint
 from repro.serving.counters import ServiceCounters
-from repro.serving.queue import QUERY_KINDS, Request
-from repro.serving.scoring import BatchScorer
+from repro.serving.scoring import BatchScorer, Request
 from repro.serving.sessions import Session, SessionStore
-from repro.serving.suffstats import SufficientStats
 from repro.serving.wal import WalRecord, WriteAheadLog
+from repro.stats.suffstats import SufficientStats
 
 __all__ = ["ShardWorker"]
 
@@ -71,15 +70,14 @@ class ShardWorker:
         :class:`~repro.serving.sessions.SessionStore`).
     wal:
         Optional write-ahead log this worker appends to before every
-        mutation.  ``None`` (the default, and what ``MomentService``
-        uses) keeps behaviour *and checkpoint bytes* identical to the
-        pre-shard service.  An attached log without an observer gets this
-        worker's counters as its observer, so WAL append/flush gauges
-        surface through :meth:`stats`.
+        mutation.  ``None`` (the default) keeps state and checkpoint
+        bytes free of any log offset.  An attached log without an
+        observer gets this worker's counters as its observer, so WAL
+        append/flush gauges surface through :meth:`stats`.
     wal_delta_rows:
         Optional suffstats-delta threshold: a 2-D ingest block with at
         least this many rows is logged as its
-        :class:`~repro.serving.suffstats.SufficientStats` — ``O(d^2)``
+        :class:`~repro.stats.suffstats.SufficientStats` — ``O(d^2)``
         per record — instead of the raw ``O(n·d)`` samples, and applied
         through the same statistics merge live and on replay.  Because
         ``store.ingest`` folds a 2-D block in as exactly one Chan merge
@@ -209,69 +207,28 @@ class ShardWorker:
     def _snapshot_one(self, key: str) -> Session:
         return self.store.snapshot([key])[0]
 
-    def _log_touch(self, keys: Sequence[str], kinds: Dict[str, int]) -> None:
-        """Record the clock ticks (and request counts) a query batch causes.
-
-        ``keys`` is the session key of every request in submission order
-        (duplicates included).  The scorer snapshots a key once per batch
-        *on success* but re-attempts on every later request naming a key
-        whose snapshot failed — and each attempt ticks the store clock.
-        Logging the full request-key sequence lets replay reproduce that
-        attempt pattern exactly (see :meth:`apply_record`), which a
-        deduplicated key list cannot.
-        """
-        if self.wal is not None:
-            self.wal.append("touch", {"keys": list(keys), "kinds": kinds})
-
     def score_requests(self, requests: List[Request]) -> None:
-        """Score a coalesced batch (the micro-batch queue handler body).
+        """Count, log, and score a batch of requests for keys on this shard.
 
-        Request-rate accounting happened at submission; with a WAL
-        attached, one ``touch`` record captures both the per-key clock
-        ticks and the submission-time kind counts so replay reproduces
-        the counters.
+        Request kinds are counted here, in submission order.  With a WAL
+        attached, one ``touch`` record carries the session key of every
+        request in submission order (duplicates included) plus the kind
+        counts.  The scorer snapshots a key once per batch *on success*
+        but re-attempts on every later request naming a key whose snapshot
+        failed — and each attempt ticks the store clock.  Logging the full
+        request-key sequence lets replay reproduce that attempt pattern
+        exactly (see :meth:`apply_record`), which a deduplicated key list
+        cannot.
         """
+        kinds: Dict[str, int] = {}
+        for request in requests:
+            kinds[request.kind] = kinds.get(request.kind, 0) + 1
         if self.wal is not None:
-            kinds: Dict[str, int] = {}
-            for request in requests:
-                kinds[request.kind] = kinds.get(request.kind, 0) + 1
-            self._log_touch([request.key for request in requests], kinds)
-        self.scorer.score(requests, self._snapshot_one)
-
-    def query_many(self, queries: Sequence[Tuple[str, str, Any]]) -> List[Any]:
-        """Score a list of ``(kind, key, payload)`` queries in one batch.
-
-        Identical semantics to the pre-shard ``MomentService.query_many``:
-        kinds are validated and counted in submission order, then the
-        whole list is scored as one grouped batch.  Raises the first
-        request error encountered, in submission order.
-        """
-        requests: List[Request] = []
-        now = time.perf_counter()
-        for kind, key, payload in queries:
-            if kind not in QUERY_KINDS:
-                raise ConfigError(
-                    f"unknown request kind {kind!r}; expected {QUERY_KINDS}"
-                )
-            self.counters.record_request(kind)
-            requests.append(
-                Request(kind=kind, key=str(key), payload=payload, submitted_at=now)
+            self.wal.append(
+                "touch", {"keys": [request.key for request in requests], "kinds": kinds}
             )
-        self.score_requests(requests)
-        return [request.future.result() for request in requests]
-
-    def collect(self, key: str) -> Session:
-        """Return a detached session snapshot for merge-on-read routing.
-
-        The router Chan-merges the returned snapshots across shards and
-        scores the merge itself; this worker only pays one clock tick
-        (logged as a ``touch`` so replay reproduces it) and one O(d^2)
-        copy.  Raises
-        :class:`~repro.exceptions.SessionNotFoundError` if the key does
-        not live here — after ticking, like any store lookup.
-        """
-        self._log_touch([str(key)], {})
-        return self._snapshot_one(key)
+        self.counters.record_requests(kinds)
+        self.scorer.score(requests, self._snapshot_one)
 
     # ------------------------------------------------------------------
     # WAL replay
@@ -383,8 +340,8 @@ class ShardWorker:
     def state_dict(self) -> Dict[str, Any]:
         """Exact JSON-safe shard state.
 
-        Without a WAL this is byte-for-byte the pre-shard
-        ``MomentService`` state layout; with one, a ``wal`` entry records
+        Without a WAL this is the single-file checkpoint layout
+        (``repro.serving-checkpoint.v1``); with one, a ``wal`` entry records
         the log offset the state covers (every op up to and including
         ``seq`` is reflected — appends are synchronous log-then-apply).
         """

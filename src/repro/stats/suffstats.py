@@ -24,6 +24,8 @@ computed; the incremental paths agree with it to floating-point rounding
 from __future__ import annotations
 
 import json
+import math
+import operator
 from typing import Any, Dict, List, Sequence
 
 import numpy as np
@@ -39,6 +41,11 @@ __all__ = ["SufficientStats", "merge_all", "WIRE_SCHEMA"]
 #: Format marker of the stable wire encoding (:meth:`SufficientStats.to_wire`);
 #: defined in :mod:`repro.schemas`, the version-string source of truth.
 WIRE_SCHEMA = SUFFSTATS_WIRE_SCHEMA
+
+#: Relative tolerance (against the largest ``|S_ij|``) for the scatter's
+#: asymmetry and most negative eigenvalue in :meth:`SufficientStats.from_dict`;
+#: Welford/Chan rounding stays orders of magnitude below it.
+SCATTER_RTOL = 1e-9
 
 
 class SufficientStats:
@@ -194,11 +201,19 @@ class SufficientStats:
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "SufficientStats":
-        """Inverse of :meth:`to_dict` (bit-exact restore)."""
+        """Inverse of :meth:`to_dict` (bit-exact restore), validated.
+
+        The one entry point for statistics that cross a trust boundary —
+        the wire protocol, write-ahead-log replay, and checkpoint load —
+        so it refuses anything the accumulators could never produce: a
+        non-integer or negative count, non-finite values, a non-zero mean
+        or scatter for zero samples, and a scatter that is not symmetric
+        PSD within :data:`SCATTER_RTOL`.
+        """
         try:
             mean = np.asarray(payload["mean"], dtype=float)
             scatter = np.asarray(payload["scatter"], dtype=float)
-            n = int(payload["n"])
+            n = operator.index(payload["n"])
         except (KeyError, TypeError) as exc:
             raise DimensionError(f"malformed suffstats payload: {exc}") from exc
         if mean.ndim != 1:
@@ -210,6 +225,18 @@ class SufficientStats:
             )
         if n < 0:
             raise DimensionError(f"suffstats count must be >= 0, got {n}")
+        # NaN and inf propagate into the max, so it doubles as the
+        # scatter's finiteness check
+        scale = float(np.abs(scatter).max()) if d else 0.0
+        if not (math.isfinite(scale) and np.isfinite(mean).all()):
+            raise DimensionError("suffstats mean and scatter must be finite")
+        if n == 0 and (scale > 0.0 or mean.any()):
+            raise DimensionError("suffstats of zero samples must have zero mean and scatter")
+        if scale > 0.0:
+            if np.abs(scatter - scatter.T).max() > SCATTER_RTOL * scale:
+                raise DimensionError("suffstats scatter must be symmetric")
+            if np.linalg.eigvalsh(scatter)[0] < -SCATTER_RTOL * scale:
+                raise DimensionError("suffstats scatter must be positive semi-definite")
         stats = cls(d)
         stats.n = n
         stats.mean = mean

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from repro.core.prior import PriorKnowledge
-from repro.serving import MomentService, handle_request, serve_loop
+from repro.serving import ShardedMomentService, handle_request, serve_loop
 
 D = 3
 
 
 @pytest.fixture
 def service(rng):
-    svc = MomentService(start_queue=False)
+    svc = ShardedMomentService()
     yield svc
     svc.close()
 
@@ -95,8 +95,50 @@ class TestOps:
         path = tmp_path / "wire.ckpt"
         response = call(service, op="checkpoint", path=str(path))
         assert response["ok"] and len(response["sha256"]) == 64
-        restored = MomentService.restore(path, start_queue=False)
-        assert "dut" in restored.store
+        restored = ShardedMomentService.restore(path)
+        assert restored.session_keys() == ["dut"]
+        assert restored.estimate("dut").mean.tolist() == prior_fields["prior_mean"]
+
+
+_GOOD_SCATTER = (2.0 * np.eye(D)).tolist()
+
+
+class TestSuffstatsValidation:
+    """A ``stats`` ingest the accumulators could never have produced is
+    refused before anything is logged or applied."""
+
+    @pytest.mark.parametrize(
+        "stats",
+        [
+            {"n": 5, "mean": [float("nan"), 0.0, 0.0], "scatter": _GOOD_SCATTER},
+            {"n": 5, "mean": [0.0] * D, "scatter": np.diag([-5.0, 1.0, 1.0]).tolist()},
+            {
+                "n": 5,
+                "mean": [0.0] * D,
+                "scatter": [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+            },
+            {"n": 2.5, "mean": [0.0] * D, "scatter": _GOOD_SCATTER},
+            {"n": 0, "mean": [1.0, 0.0, 0.0], "scatter": [[0.0] * D] * D},
+            {"n": -1, "mean": [0.0] * D, "scatter": _GOOD_SCATTER},
+        ],
+        ids=["nan-mean", "negative-scatter", "asymmetric-scatter", "fractional-n",
+             "empty-with-mean", "negative-n"],
+    )
+    def test_bad_stats_rejected_without_effect(self, stats, prior_fields, rng, tmp_path):
+        with ShardedMomentService(wal_dir=tmp_path / "wal") as svc:
+            call(svc, op="create", key="dut", **prior_fields)
+            call(svc, op="ingest", key="dut", samples=rng.standard_normal((6, D)).tolist())
+            before = call(svc, op="estimate", key="dut")
+            wal = svc.workers[0].wal
+            seq = wal.last_seq
+            response = call(svc, op="ingest", key="dut", stats=stats)
+            assert response["ok"] is False
+            assert response["error"] == "DimensionError"
+            assert wal.last_seq == seq
+            after = call(svc, op="estimate", key="dut")
+            assert after["mean"] == before["mean"]
+            assert after["covariance"] == before["covariance"]
+            assert after["n"] == before["n"] == 6
 
 
 class TestErrorContainment:

@@ -1,4 +1,4 @@
-"""ShardedMomentService: hashing, merge-on-read equivalence, manifests."""
+"""ShardedMomentService: hashing, shard equivalence, counters, checkpoint layouts."""
 
 import json
 
@@ -10,8 +10,10 @@ from repro.exceptions import ConfigError, SessionNotFoundError
 from repro.serving import (
     MANIFEST_SCHEMA,
     HashRing,
-    MomentService,
+    Request,
     ShardedMomentService,
+    ShardWorker,
+    handle_request,
 )
 
 D = 3
@@ -48,8 +50,8 @@ def _populate(service, prior, blocks, order=None):
 
 
 def _reference(prior, blocks):
-    """Single-process answers for every key."""
-    with MomentService(start_queue=False) as svc:
+    """Single-process answers (one shard, no coalescing) for every key."""
+    with ShardedMomentService() as svc:
         _populate(svc, prior, blocks)
         out = {}
         for key in KEYS:
@@ -79,13 +81,10 @@ class TestHashRing:
 
 
 class TestMergeOnReadEquivalence:
-    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8])
-    @pytest.mark.parametrize("placement", ["hash", "spread"])
-    def test_matches_single_process(self, n_shards, placement, prior, blocks):
+    @pytest.mark.parametrize("n_shards", [1, 2, 4, 8], ids=lambda n: f"hash-{n}")
+    def test_matches_single_process(self, n_shards, prior, blocks):
         reference = _reference(prior, blocks)
-        with ShardedMomentService(
-            n_shards=n_shards, placement=placement, flush_rows=4
-        ) as svc:
+        with ShardedMomentService(n_shards=n_shards, flush_rows=4) as svc:
             _populate(svc, prior, blocks)
             for key in KEYS:
                 est = svc.estimate(key)
@@ -99,9 +98,7 @@ class TestMergeOnReadEquivalence:
         for seed in (0, 1):
             order = list(KEYS)
             np.random.default_rng(seed).shuffle(order)
-            with ShardedMomentService(
-                n_shards=4, placement="spread", flush_rows=2
-            ) as svc:
+            with ShardedMomentService(n_shards=4, flush_rows=2) as svc:
                 _populate(svc, prior, blocks, order=order)
                 for key in KEYS:
                     est = svc.estimate(key)
@@ -115,7 +112,7 @@ class TestMergeOnReadEquivalence:
     def test_loglik_and_yield_match(self, prior, blocks, rng):
         x = rng.standard_normal((5, D))
         lower, upper = np.full(D, -2.0), np.full(D, 2.0)
-        with MomentService(start_queue=False) as single:
+        with ShardedMomentService() as single:
             _populate(single, prior, blocks)
             ref_ll = single.query_many([("loglik", KEYS[0], x)])[0]
             ref_y = single.query_many([("yield", KEYS[1], (lower, upper))])[0]
@@ -129,8 +126,8 @@ class TestMergeOnReadEquivalence:
             )
 
     def test_missing_key_raises_everywhere(self, prior, blocks):
-        for placement in ("hash", "spread"):
-            with ShardedMomentService(n_shards=4, placement=placement) as svc:
+        for n_shards in (1, 4):
+            with ShardedMomentService(n_shards=n_shards) as svc:
                 _populate(svc, prior, blocks)
                 with pytest.raises(SessionNotFoundError):
                     svc.estimate("nope")
@@ -145,7 +142,7 @@ class TestLifecycle:
             assert totals[-1] == 20
 
     def test_session_keys_union_and_drop(self, prior, blocks):
-        with ShardedMomentService(n_shards=4, placement="spread") as svc:
+        with ShardedMomentService(n_shards=4) as svc:
             _populate(svc, prior, blocks)
             assert svc.session_keys() == sorted(KEYS)
             assert svc.drop_session(KEYS[0]) is True
@@ -162,29 +159,117 @@ class TestLifecycle:
             assert len(stats["shards"]) == 2
             assert stats["sessions_live"] == len(KEYS)
 
-    def test_invalid_placement_rejected(self):
-        with pytest.raises(ConfigError):
-            ShardedMomentService(n_shards=2, placement="mirror")
+    def test_invalid_placement_rejected(self, prior, blocks, tmp_path):
+        """Only hash placement exists; a manifest naming another one (such
+        as the retired ``spread``) is refused, naming the field."""
+        with ShardedMomentService(n_shards=2) as svc:
+            _populate(svc, prior, blocks)
+            svc.checkpoint(tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["placement"] == "hash"
+        manifest["placement"] = "spread"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="placement"):
+            ShardedMomentService.restore(tmp_path / "ckpt")
+
+
+class TestStatsTotals:
+    """Top-level request, error, and latency counts are the shard sums
+    (regression: one shard reported zero requests)."""
+
+    @staticmethod
+    def _exercise(query):
+        query([("estimate", k, None) for k in KEYS[:3]])
+        query([("loglik", KEYS[0], np.zeros((2, D)))])
+        with pytest.raises(SessionNotFoundError):
+            query([("estimate", "ghost", None)])
+
+    @staticmethod
+    def _check(stats, n_shards):
+        shards = stats["shards"]
+        assert len(shards) == n_shards
+        for kind in ("estimate", "loglik", "yield"):
+            assert stats["requests"][kind] == sum(s["requests"][kind] for s in shards)
+        for field in ("requests_total", "errors", "latency_samples"):
+            assert stats[field] == sum(s[field] for s in shards)
+        assert stats["requests"]["estimate"] == 4
+        assert stats["requests_total"] == 5
+        assert stats["errors"] == 1
+        assert stats["latency_samples"] == 4
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_in_process(self, n_shards, prior, blocks):
+        with ShardedMomentService(n_shards=n_shards) as svc:
+            _populate(svc, prior, blocks)
+            self._exercise(svc.query_many)
+            self._check(svc.stats(), n_shards)
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_through_protocol(self, n_shards, prior, blocks):
+        def call(**request):
+            return handle_request(svc, json.dumps(request))
+
+        def query(queries):
+            for kind, key, payload in queries:
+                request = {"op": kind, "key": key}
+                if payload is not None:
+                    request["x"] = payload.tolist()
+                response = call(**request)
+                if not response["ok"]:
+                    raise SessionNotFoundError(response["message"])
+
+        with ShardedMomentService(n_shards=n_shards) as svc:
+            _populate(svc, prior, blocks)
+            self._exercise(query)
+            response = call(op="stats")
+            assert response["ok"]
+            self._check(response["stats"], n_shards)
 
 
 class TestSingleShardGate:
     def test_checkpoint_bytes_match_moment_service(self, prior, blocks, tmp_path):
-        """``--shards 1`` is bit-identical to the pre-shard service:
-        counters, eviction order, and checkpoint bytes."""
-        single = MomentService(start_queue=False)
-        sharded = ShardedMomentService(n_shards=1)
-        for svc in (single, sharded):
+        """The moment service with one shard and no WAL checkpoints to the
+        single-file layout, byte-identical to a bare worker fed the same
+        stream: counters, eviction order, and checkpoint bytes."""
+        worker = ShardWorker(shard_id=0)
+        _populate(worker, prior, blocks)
+        requests = [Request("estimate", k, None) for k in KEYS[:3]]
+        worker.score_requests(requests)
+        worker.drop_session(KEYS[-1])
+        worker.checkpoint(tmp_path / "worker.ckpt")
+
+        with ShardedMomentService() as svc:
             _populate(svc, prior, blocks)
-            svc.query_many(
-                [("estimate", k, None) for k in KEYS[:3]]
-            )
+            svc.query_many([("estimate", k, None) for k in KEYS[:3]])
             svc.drop_session(KEYS[-1])
-        single.checkpoint(tmp_path / "single.ckpt")
-        sharded.checkpoint(tmp_path / "sharded")
-        shard_file = tmp_path / "sharded" / "shard-000.ckpt"
-        assert shard_file.read_bytes() == (tmp_path / "single.ckpt").read_bytes()
-        single.close()
-        sharded.close()
+            svc.checkpoint(tmp_path / "router.ckpt")
+        assert (tmp_path / "router.ckpt").is_file()
+        assert (tmp_path / "router.ckpt").read_bytes() == (
+            tmp_path / "worker.ckpt"
+        ).read_bytes()
+
+    def test_wal_or_shards_checkpoint_to_a_manifest(self, prior, blocks, tmp_path):
+        for name, kwargs in (
+            ("two", {"n_shards": 2}),
+            ("wal", {"wal_dir": tmp_path / "wal"}),
+        ):
+            with ShardedMomentService(**kwargs) as svc:
+                _populate(svc, prior, blocks)
+                svc.checkpoint(tmp_path / name)
+                reference = {k: svc.estimate(k).mean for k in KEYS}
+            assert (tmp_path / name / "manifest.json").is_file()
+            restored = ShardedMomentService.restore(tmp_path / name)
+            for key in KEYS:
+                np.testing.assert_array_equal(restored.estimate(key).mean, reference[key])
+            restored.close()
+
+    def test_manifest_service_refuses_a_single_file_target(self, prior, tmp_path):
+        (tmp_path / "single.ckpt").write_text("{}")
+        with ShardedMomentService(n_shards=2) as svc:
+            svc.create_session("k", prior)
+            with pytest.raises(ConfigError, match="single-file"):
+                svc.checkpoint(tmp_path / "single.ckpt")
 
 
 class TestManifestCheckpoint:
@@ -279,29 +364,46 @@ class TestWalIntegration:
         svc.close()
         recovered = ShardedMomentService.recover(wal_dir)
         assert recovered.workers[0].counters.state_dict() == expected
-        assert recovered.counters.state_dict()["requests"] == expected["requests"]
+        assert recovered.stats()["requests"] == expected["requests"]
         recovered.close()
 
     def test_restore_reconciles_counters_with_wal_tail(
         self, prior, blocks, rng, tmp_path
     ):
         """Counters must reflect the replayed WAL tail, not the stale
-        manifest snapshot, and multi-shard router-only request counts
-        survive via the manifest."""
+        manifest snapshot, and request counts survive the restore."""
         wal_dir = tmp_path / "wal"
         svc = ShardedMomentService(n_shards=2, wal_dir=wal_dir, flush_rows=1)
         _populate(svc, prior, blocks)
         svc.estimate(KEYS[0])
         svc.checkpoint(tmp_path / "ckpt")
-        checkpoint_requests = svc.counters.state_dict()["requests"]
+        checkpoint_requests = svc.stats()["requests"]
         # this ingest lives only in the WAL tails
         svc.ingest(KEYS[0], rng.standard_normal((5, D)))
         expected_samples = svc.counters.state_dict()["ingested_samples"]
         svc.close()
         restored = ShardedMomentService.restore(tmp_path / "ckpt", wal_dir=wal_dir)
-        state = restored.counters.state_dict()
-        assert state["ingested_samples"] == expected_samples
-        assert state["requests"] == checkpoint_requests
+        stats = restored.stats()
+        assert stats["ingested_samples"] == expected_samples
+        assert stats["requests"] == checkpoint_requests
+        restored.close()
+
+    def test_restore_keeps_manifest_only_request_counts(self, prior, blocks, tmp_path):
+        """Older multi-shard manifests counted requests and errors at the
+        top level only; restoring one keeps those fleet totals."""
+        with ShardedMomentService(n_shards=2) as svc:
+            _populate(svc, prior, blocks)
+            svc.checkpoint(tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["counters"]["requests"]["estimate"] = 7
+        manifest["counters"]["errors"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        restored = ShardedMomentService.restore(tmp_path / "ckpt")
+        stats = restored.stats()
+        assert stats["requests"]["estimate"] == 7
+        assert stats["requests_total"] == 7
+        assert stats["errors"] == 2
         restored.close()
 
     def test_compact_truncates_all_shards(self, prior, blocks, rng, tmp_path):

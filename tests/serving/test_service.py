@@ -1,6 +1,8 @@
-"""MomentService end-to-end: equivalence, checkpointing, overload, counters."""
+"""The serving front door end to end: equivalence, checkpointing, counters.
 
-import threading
+Every test runs on ``ShardedMomentService`` at its defaults (one shard,
+no WAL), the single-process deployment ``repro serve`` starts.
+"""
 
 import numpy as np
 import pytest
@@ -10,11 +12,10 @@ from repro.core.prior import PriorKnowledge
 from repro.exceptions import (
     ConfigError,
     DimensionError,
-    ServiceOverloadedError,
     SessionNotFoundError,
     SpecificationError,
 )
-from repro.serving import MomentService
+from repro.serving import ShardedMomentService
 from repro.stats.multivariate_gaussian import MultivariateGaussian
 from repro.yieldest.parametric import gaussian_box_probability
 
@@ -36,7 +37,7 @@ def samples(rng) -> np.ndarray:
 
 @pytest.fixture
 def service(prior, samples):
-    svc = MomentService(max_batch=8, max_wait=0.001, seed=5)
+    svc = ShardedMomentService()
     svc.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
     for row in samples:
         svc.ingest("dut", row)
@@ -46,7 +47,7 @@ def service(prior, samples):
 
 class TestQueries:
     def test_estimate_matches_one_shot_bmf(self, service, prior, samples):
-        estimate = service.estimate("dut", timeout=10.0)
+        estimate = service.estimate("dut")
         reference = BMFEstimator(prior, kappa0=KAPPA0, v0=V0).estimate(samples)
         np.testing.assert_allclose(estimate.mean, reference.mean, atol=1e-10)
         np.testing.assert_allclose(
@@ -57,14 +58,14 @@ class TestQueries:
         assert estimate.info["kappa0"] == KAPPA0
 
     def test_loglik_matches_scalar_gaussian(self, service, prior, samples):
-        value = service.loglik("dut", samples[:10], timeout=10.0)
+        value = service.loglik("dut", samples[:10])
         reference = BMFEstimator(prior, kappa0=KAPPA0, v0=V0).estimate(samples)
         gaussian = MultivariateGaussian(reference.mean, reference.covariance)
         assert value == pytest.approx(gaussian.loglik(samples[:10]), abs=1e-8)
 
     def test_yield_matches_scalar_box_probability(self, service, prior, samples):
         lower, upper = np.full(D, -3.0), np.full(D, 3.0)
-        value = service.yield_prob("dut", lower, upper, timeout=10.0)
+        value = service.yield_prob("dut", lower, upper)
         reference = BMFEstimator(prior, kappa0=KAPPA0, v0=V0).estimate(samples)
         expected = gaussian_box_probability(
             reference.mean, reference.covariance, lower, upper
@@ -85,18 +86,20 @@ class TestQueries:
         assert 0.0 <= results[2] <= 1.0
 
     def test_sync_and_batched_paths_agree(self, service, samples):
-        """The queue path and query_many run the same scoring code."""
-        async_est = service.estimate("dut", timeout=10.0)
-        sync_est = service.query_many([("estimate", "dut", None)])[0]
-        assert np.array_equal(async_est.mean, sync_est.mean)
-        assert np.array_equal(async_est.covariance, sync_est.covariance)
-        async_ll = service.loglik("dut", samples[:7], timeout=10.0)
-        sync_ll = service.query_many([("loglik", "dut", samples[:7])])[0]
-        assert async_ll == sync_ll
+        """Single-query helpers and one mixed query_many batch run the
+        same scoring code: identical bits."""
+        single_est = service.estimate("dut")
+        single_ll = service.loglik("dut", samples[:7])
+        batch_est, batch_ll = service.query_many(
+            [("estimate", "dut", None), ("loglik", "dut", samples[:7])]
+        )
+        assert np.array_equal(single_est.mean, batch_est.mean)
+        assert np.array_equal(single_est.covariance, batch_est.covariance)
+        assert single_ll == batch_ll
 
     def test_empty_session_returns_prior_mode(self, service, prior):
         service.create_session("fresh", prior, kappa0=KAPPA0, v0=V0)
-        estimate = service.estimate("fresh", timeout=10.0)
+        estimate = service.estimate("fresh")
         np.testing.assert_allclose(estimate.mean, prior.mean, atol=1e-12)
         assert estimate.n_samples == 0
 
@@ -104,79 +107,71 @@ class TestQueries:
 class TestErrors:
     def test_unknown_session(self, service):
         with pytest.raises(SessionNotFoundError):
-            service.estimate("ghost", timeout=10.0)
+            service.estimate("ghost")
 
     def test_bad_loglik_payload(self, service):
         with pytest.raises(DimensionError):
-            service.loglik("dut", np.zeros((3, D + 1)), timeout=10.0)
+            service.loglik("dut", np.zeros((3, D + 1)))
         with pytest.raises(DimensionError):
-            service.loglik("dut", np.zeros((0, D)), timeout=10.0)
+            service.loglik("dut", np.zeros((0, D)))
 
     def test_bad_yield_bounds(self, service):
         with pytest.raises(SpecificationError):
-            service.yield_prob("dut", np.zeros(D), np.zeros(D), timeout=10.0)
+            service.yield_prob("dut", np.zeros(D), np.zeros(D))
         with pytest.raises(SpecificationError):
-            service.yield_prob("dut", np.zeros(D - 1), np.ones(D - 1), timeout=10.0)
+            service.yield_prob("dut", np.zeros(D - 1), np.ones(D - 1))
 
     def test_error_does_not_poison_the_batch(self, service, samples):
-        """One bad request in a coalesced batch fails alone."""
-        good_and_bad = [
-            ("estimate", "dut", None),
-            ("estimate", "ghost", None),
-            ("loglik", "dut", samples[:3]),
-        ]
-        futures = [
-            service.submit(kind, key, payload) for kind, key, payload in good_and_bad
-        ]
-        assert futures[0].result(timeout=10.0).dim == D
+        """One bad request in a batch fails alone: the others are scored,
+        and query_many raises the failure."""
         with pytest.raises(SessionNotFoundError):
-            futures[1].result(timeout=10.0)
-        assert np.isfinite(futures[2].result(timeout=10.0))
+            service.query_many(
+                [
+                    ("estimate", "dut", None),
+                    ("estimate", "ghost", None),
+                    ("loglik", "dut", samples[:3]),
+                ]
+            )
+        stats = service.stats()
+        assert stats["errors"] == 1
+        assert stats["latency_samples"] == 2
 
     def test_unknown_kind_in_query_many(self, service):
         with pytest.raises(ConfigError):
             service.query_many([("divine", "dut", None)])
 
-    def test_no_queue_mode_rejects_submit(self, prior):
-        service = MomentService(start_queue=False)
-        service.create_session("a", prior, kappa0=KAPPA0, v0=V0)
-        with pytest.raises(ConfigError):
-            service.submit("estimate", "a")
-        # blocking helpers silently fall back to the sync path
-        assert service.estimate("a").dim == D
-
 
 class TestCheckpointRestore:
     def test_save_kill_restore_identical(self, service, tmp_path, samples):
         """The acceptance criterion: restore is bit-identical."""
-        before = service.estimate("dut", timeout=10.0)
+        before = service.estimate("dut")
         path = tmp_path / "service.ckpt"
         service.checkpoint(path)
         service.close()  # "kill" the process's service
 
-        restored = MomentService.restore(path, start_queue=False)
+        restored = ShardedMomentService.restore(path)
         after = restored.query_many([("estimate", "dut", None)])[0]
         assert np.array_equal(after.mean, before.mean)
         assert np.array_equal(after.covariance, before.covariance)
         # counters carried over
-        assert restored.counters.ingest_calls == samples.shape[0]
+        assert restored.stats()["ingest_calls"] == samples.shape[0]
 
     def test_restore_continues_streaming_identically(
         self, prior, samples, tmp_path
     ):
         """Checkpoint mid-stream, keep ingesting on both sides: identical."""
-        straight = MomentService(start_queue=False)
+        straight = ShardedMomentService()
         straight.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
         for row in samples:
             straight.ingest("dut", row)
 
-        interrupted = MomentService(start_queue=False)
+        interrupted = ShardedMomentService()
         interrupted.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
         for row in samples[:17]:
             interrupted.ingest("dut", row)
         path = tmp_path / "mid.ckpt"
         interrupted.checkpoint(path)
-        resumed = MomentService.restore(path, start_queue=False)
+        resumed = ShardedMomentService.restore(path)
         for row in samples[17:]:
             resumed.ingest("dut", row)
 
@@ -194,65 +189,13 @@ class TestCheckpointRestore:
         state["state_version"] = 99
         save_checkpoint(state, path)
         with pytest.raises(ConfigError, match="state_version"):
-            MomentService.restore(path)
-
-
-class TestOverloadUnderConcurrency:
-    def test_backpressure_under_seeded_concurrent_driver(self, prior, samples):
-        """Many threads hammer a tiny queue: some requests are shed with
-        ServiceOverloadedError, every accepted one completes correctly,
-        and the overload is visible in the counters."""
-        gate = threading.Event()
-        service = MomentService(
-            max_batch=2, max_wait=0.0, max_pending=4, seed=123
-        )
-        service.create_session("dut", prior, kappa0=KAPPA0, v0=V0)
-        service.ingest("dut", samples)
-
-        accepted, rejected = [], []
-        lock = threading.Lock()
-
-        def driver(worker_seed: int) -> None:
-            rng = np.random.default_rng(worker_seed)
-            gate.wait(5.0)
-            for _ in range(50):
-                try:
-                    future = service.submit("estimate", "dut")
-                except ServiceOverloadedError:
-                    with lock:
-                        rejected.append(worker_seed)
-                    continue
-                with lock:
-                    accepted.append(future)
-                if rng.random() < 0.2:
-                    future.result(timeout=10.0)  # occasionally drain
-
-        threads = [
-            threading.Thread(target=driver, args=(seed,)) for seed in range(8)
-        ]
-        for thread in threads:
-            thread.start()
-        gate.set()
-        for thread in threads:
-            thread.join(timeout=30.0)
-
-        reference = None
-        for future in accepted:
-            estimate = future.result(timeout=10.0)
-            if reference is None:
-                reference = estimate
-            assert np.array_equal(estimate.mean, reference.mean)
-        assert len(rejected) >= 1, "driver never tripped backpressure"
-        stats = service.stats()
-        assert stats["queue"]["overflows"] == len(rejected)
-        assert stats["queue"]["requests_handled"] == len(accepted)
-        service.close()
+            ShardedMomentService.restore(path)
 
 
 class TestCountersAndStats:
     def test_stats_shape(self, service, samples):
-        service.estimate("dut", timeout=10.0)
-        service.loglik("dut", samples[:4], timeout=10.0)
+        service.estimate("dut")
+        service.loglik("dut", samples[:4])
         stats = service.stats()
         assert stats["requests"]["estimate"] >= 1
         assert stats["requests"]["loglik"] >= 1
@@ -260,17 +203,18 @@ class TestCountersAndStats:
         assert stats["sessions_live"] == 1
         assert stats["latency_ms_p50"] is not None
         assert stats["latency_ms_p99"] >= stats["latency_ms_p50"]
-        queue = stats["queue"]
-        assert queue["batches_dispatched"] >= 1
-        assert queue["mean_occupancy"] >= 1.0
+        assert stats["n_shards"] == 1
 
     def test_close_is_idempotent(self, prior):
-        service = MomentService()
+        service = ShardedMomentService()
         service.close()
         service.close()
 
-    def test_context_manager(self, prior):
-        with MomentService() as service:
+    def test_context_manager(self, prior, tmp_path):
+        with ShardedMomentService(wal_dir=tmp_path / "wal") as service:
             service.create_session("a", prior, kappa0=KAPPA0, v0=V0)
-        with pytest.raises(ConfigError):
-            service.submit("estimate", "a")
+        # leaving the block drained the group-commit buffer and closed
+        # the shard log
+        recovered = ShardedMomentService.recover(tmp_path / "wal")
+        assert recovered.session_keys() == ["a"]
+        recovered.close()

@@ -1,4 +1,4 @@
-"""ShardWorker: service parity, bit-identical WAL replay, crash recovery."""
+"""ShardWorker: router parity, bit-identical WAL replay, crash recovery."""
 
 import hashlib
 
@@ -8,7 +8,7 @@ import pytest
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import SessionNotFoundError
 from repro.io import canonical_json
-from repro.serving import MomentService, ShardWorker, WriteAheadLog
+from repro.serving import Request, ShardedMomentService, ShardWorker, WriteAheadLog
 from repro.stats.suffstats import SufficientStats
 
 D = 3
@@ -22,6 +22,16 @@ def _sha(state) -> str:
 def prior(rng) -> PriorKnowledge:
     a = rng.standard_normal((D, D))
     return PriorKnowledge(rng.standard_normal(D), a @ a.T + D * np.eye(D), 12)
+
+
+def _query(target, queries):
+    """Answer ``(kind, key, payload)`` queries through a bare worker or the
+    router; raises the first request error, in submission order."""
+    if isinstance(target, ShardedMomentService):
+        return target.query_many(queries)
+    requests = [Request(kind, key, payload) for kind, key, payload in queries]
+    target.score_requests(requests)
+    return [request.future.result() for request in requests]
 
 
 def _drive(target, prior, rng, queries=True):
@@ -38,7 +48,8 @@ def _drive(target, prior, rng, queries=True):
     target.drop_session("die/3")
     if queries:
         lower, upper = np.full(D, -2.0), np.full(D, 2.0)
-        target.query_many(
+        _query(
+            target,
             [
                 ("estimate", "die/0", None),
                 ("loglik", "die/1", rng.standard_normal((4, D))),
@@ -50,20 +61,21 @@ def _drive(target, prior, rng, queries=True):
 
 class TestServiceParity:
     def test_wal_less_worker_matches_moment_service_state(self, prior):
-        """The no-WAL worker *is* the pre-shard service state layout."""
+        """The one-shard moment service holds exactly the bare worker's state."""
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         worker = ShardWorker(shard_id=0)
-        service = MomentService(start_queue=False)
+        service = ShardedMomentService()
         _drive(worker, prior, rng_a)
         _drive(service, prior, rng_b)
         assert canonical_json(worker.state_dict()) == canonical_json(
-            service.state_dict()
+            service.workers[0].state_dict()
         )
 
     def test_checkpoint_bytes_match_moment_service(self, prior, tmp_path):
+        """The one-shard, WAL-less moment service writes the bare worker's file."""
         rng_a, rng_b = np.random.default_rng(7), np.random.default_rng(7)
         worker = ShardWorker(shard_id=0)
-        service = MomentService(start_queue=False)
+        service = ShardedMomentService()
         _drive(worker, prior, rng_a)
         _drive(service, prior, rng_b)
         worker.checkpoint(tmp_path / "w.ckpt")
@@ -152,7 +164,8 @@ class TestReplayBitIdentity:
         live.create_session("k", prior)
         live.ingest("k", rng.standard_normal((4, D)))
         with pytest.raises(SessionNotFoundError):
-            live.query_many(
+            _query(
+                live,
                 [
                     ("estimate", "ghost", None),  # attempt + tick, fails
                     ("estimate", "k", None),  # snapshot + tick
@@ -180,7 +193,7 @@ class TestReplayBitIdentity:
         # repeated queries of an evicted/missing key keep ticking the
         # clock toward "old"'s TTL horizon
         with pytest.raises(SessionNotFoundError):
-            live.query_many([("estimate", "ghost", None)] * 5)
+            _query(live, [("estimate", "ghost", None)] * 5)
         live.ingest("new", rng.standard_normal(D))
         assert live.session_keys() == ["new"]  # "old" aged out
         replayed = ShardWorker(shard_id=0, ttl_ops=6)

@@ -314,6 +314,47 @@ class TestServingVerbs:
         assert payload["schema"] == "repro.serving-checkpoint.v1"
 
 
+    def test_single_file_checkpoint_restores_under_wal_flags(
+        self, checkpoint, tmp_path, capsys, monkeypatch
+    ):
+        """A single-file checkpoint restores under coalescing + WAL flags;
+        writes after the restore land in a fresh log, and a second start
+        replays that log on top of the file."""
+        import io as io_module
+        import json
+
+        assert main(["query", str(checkpoint), "estimate", "--session", "adc/tt", "--json"]) == 0
+        reference = json.loads(capsys.readouterr().out)
+        wal_dir = tmp_path / "wal"
+        flags = ["--checkpoint", str(checkpoint), "--flush-rows", "64", "--wal-dir", str(wal_dir)]
+        rows = np.random.default_rng(5).standard_normal((3, len(reference["mean"])))
+
+        def serve(requests):
+            stream = "\n".join(json.dumps(r) for r in requests) + "\n"
+            monkeypatch.setattr("sys.stdin", io_module.StringIO(stream))
+            assert main(["serve"] + flags) == 0
+            out = capsys.readouterr().out
+            return [json.loads(line) for line in out.strip().splitlines()]
+
+        first = serve(
+            [
+                {"op": "estimate", "key": "adc/tt"},
+                {"op": "ingest", "key": "adc/tt", "samples": rows.tolist()},
+                {"op": "estimate", "key": "adc/tt"},
+                {"op": "shutdown"},
+            ]
+        )
+        assert all(r["ok"] for r in first)
+        assert first[0]["mean"] == reference["mean"]
+        assert first[0]["covariance"] == reference["covariance"]
+        assert first[0]["n"] == 12 and first[2]["n"] == 15
+        assert (wal_dir / "shard-000.wal").exists()
+
+        second = serve([{"op": "estimate", "key": "adc/tt"}, {"op": "shutdown"}])
+        assert second[0]["mean"] == first[2]["mean"]
+        assert second[0]["n"] == 15
+
+
 class TestShardedServingVerbs:
     def _requests(self):
         import json

@@ -44,15 +44,10 @@ DEFAULT_LAYERS: List[List[str]] = [
     ["repro.io"],
     ["repro.scenarios"],
     ["repro.serving.suffstats", "repro.serving.wal"],
-    [
-        "repro.serving.sessions",
-        "repro.serving.queue",
-        "repro.serving.checkpoint",
-        "repro.serving.counters",
-    ],
+    ["repro.serving.sessions", "repro.serving.checkpoint", "repro.serving.counters"],
     ["repro.serving.scoring"],
     ["repro.serving.worker"],
-    ["repro.serving.service", "repro.serving.router"],
+    ["repro.serving.router"],
     ["repro.serving.protocol", "repro.serving"],
     ["repro.cli", "repro.__main__", "repro"],
 ]

@@ -3,10 +3,10 @@
 When a class guards an attribute with a lock *somewhere* — any method
 mutates ``self.attr`` inside ``with self._lock:`` — then every other
 mutation of that attribute in the class must also hold the lock.  A single
-unguarded write is how the serving stack's ingest fan-out
-(``router.thread_map``), the micro-batch queue, and the WAL write buffer
-corrupt state under concurrency: the guarded sites promise exclusion the
-stray site silently breaks.
+unguarded write is how the serving stack's shared state — the router's
+per-key ingest buffers, the session store, the counters, and the WAL
+write buffer — corrupts under concurrent callers: the guarded sites
+promise exclusion the stray site silently breaks.
 
 The rule is project-wide because the evidence spans files: lock attributes
 are detected from ``threading.Lock()/RLock()/Condition()`` assignments in
