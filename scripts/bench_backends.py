@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Benchmark the pluggable solver backends: MNA dense vs sparse, kernel numpy vs numba.
+"""Benchmark the solver backends: MNA dense vs sparse, plus the batched SPD kernels.
 
 Two sweeps, both appended to the ``BENCH_backends.json`` trajectory (see
 :mod:`repro.bench.trajectory`) at the repository root:
@@ -15,11 +15,7 @@ Two sweeps, both appended to the ``BENCH_backends.json`` trajectory (see
 * **Kernel micro-benchmark** — the three batched SPD primitives behind
   the CV scorer and the serving batch scorer
   (``cholesky_batched`` / ``solve_triangular_batched`` /
-  ``mahalanobis_sq_batched``) through the numpy backend and, when the
-  optional numba package is importable, the compiled backend (cold JIT
-  excluded by warm-up).  An absent numba is recorded as
-  ``"available": false`` so the trajectory shows *why* there is no
-  number.
+  ``mahalanobis_sq_batched``), best-of-``--repeats`` wall time.
 
 Usage (from the repository root)::
 
@@ -42,15 +38,14 @@ from repro.circuits.mna import StampPlan
 from repro.circuits.netlist import Netlist
 from repro.exceptions import SimulationError
 from repro.linalg import (
-    available_backends,
     cholesky_batched,
     mahalanobis_sq_batched,
     solve_triangular_batched,
-    use_kernel_backend,
 )
+from repro.linalg.backends import sparse_mna
 
 #: Relative-agreement gate between MNA backends (the documented sparse
-#: tolerance; see repro.linalg.backends registry metadata).
+#: tolerance).
 MNA_REL_TOL = 1e-9
 
 
@@ -84,7 +79,7 @@ def ladder_values(n_nodes: int, n_samples: int, seed: int = 0) -> dict:
 def bench_mna(sizes, n_samples: int, n_freqs: int, repeats: int) -> list:
     freqs = np.logspace(2, 8, n_freqs)
     rows = []
-    sparse_ok = "sparse" in available_backends("mna")
+    sparse_ok = sparse_mna.is_available()
     for n_nodes in sizes:
         plan = ladder_plan(n_nodes)
         values = ladder_values(n_nodes, n_samples)
@@ -156,34 +151,10 @@ def bench_kernels(batch: int, dim: int, repeats: int) -> dict:
         solve_triangular_batched(chol, rhs, lower=True)
         return mahalanobis_sq_batched(chol, mu, x)
 
-    section: dict = {"batch": batch, "dim": dim}
-    results: dict = {}
-    for name in ("numpy", "numba"):
-        if name not in available_backends("kernels"):
-            results[name] = {"available": False}
-            continue
-        with use_kernel_backend(name):
-            run()  # warm-up: numba JIT compiles on first call
-            elapsed, maha = best_of(run, repeats)
-        results[name] = {"available": True, "best_s": round(elapsed, 6)}
-        section.setdefault("_maha", {})[name] = maha
-    maha_by_backend = section.pop("_maha", {})
-    if len(maha_by_backend) == 2:
-        diff = float(
-            np.max(np.abs(maha_by_backend["numba"] - maha_by_backend["numpy"]))
-        )
-        results["max_abs_mahalanobis_diff"] = diff
-        results["speedup_numba_over_numpy"] = round(
-            results["numpy"]["best_s"] / results["numba"]["best_s"], 2
-        )
-    section["backends"] = results
-    for name in ("numpy", "numba"):
-        state = results[name]
-        print(
-            f"kernels {name}: "
-            + (f"{state['best_s']} s" if state.get("available") else "unavailable")
-        )
-    return section
+    run()  # warm-up
+    elapsed, _maha = best_of(run, repeats)
+    print(f"kernels: {elapsed:.6f} s")
+    return {"batch": batch, "dim": dim, "best_s": round(elapsed, 6)}
 
 
 def main() -> None:

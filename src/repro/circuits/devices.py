@@ -18,7 +18,7 @@ where ``sigma(dVth) ~ Avt / sqrt(W L)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.exceptions import SimulationError
 

@@ -18,7 +18,6 @@ level ``k`` from the end-point-fit line.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

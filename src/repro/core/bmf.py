@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.crossval import CrossValidationResult, TwoDimensionalCV
+from repro.core.crossval import TwoDimensionalCV
 from repro.core.estimators import MomentEstimate, MomentEstimator
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge

@@ -19,7 +19,7 @@ Sec. 3.6 — the multivariate normal with unknown mean and covariance.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import stats as sps

@@ -12,7 +12,6 @@ later by cross validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-import numpy as np
-
 from repro.exceptions import DimensionError
 from repro.experiments.convergence import DecayFit, fit_decay
 from repro.experiments.sweep import SweepResult

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-import numpy as np
-
 from repro.experiments.sweep import SweepResult
 
 __all__ = ["CostReduction", "cost_reduction", "samples_to_reach"]

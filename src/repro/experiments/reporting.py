@@ -9,7 +9,7 @@ selected hyper-parameters, cost-reduction headline).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.experiments.cost import CostReduction
 from repro.experiments.sweep import SweepResult

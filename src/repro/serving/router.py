@@ -167,9 +167,6 @@ class ShardedMomentService:
         delta logging.
     virtual_nodes:
         Ring resolution (see :class:`HashRing`).
-    linalg_backend:
-        Kernel backend for all scoring math (``None`` keeps the ambient
-        process selection).  Runtime configuration, not checkpointed.
     """
 
     def __init__(
@@ -184,7 +181,6 @@ class ShardedMomentService:
         wal_flush_bytes: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
         virtual_nodes: int = 64,
-        linalg_backend: Optional[str] = None,
     ) -> None:
         if wal_format not in WAL_FORMATS:
             raise ConfigError(
@@ -210,7 +206,6 @@ class ShardedMomentService:
                     ttl_ops=ttl_ops,
                     wal=wal,
                     wal_delta_rows=wal_delta_rows,
-                    linalg_backend=linalg_backend,
                 )
             )
         # Router-level ingest totals (accepted calls, before coalescing);
@@ -319,6 +314,7 @@ class ShardedMomentService:
         buffer (flushing the key first keeps arrival order intact).
         """
         key = str(key)
+        stats.validate()
         self.counters.record_ingest(stats.n)
         with self._ingest_lock:
             self._flush_key_locked(key)
@@ -534,7 +530,6 @@ class ShardedMomentService:
         wal_flush_records: Optional[int] = None,
         wal_flush_bytes: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
-        linalg_backend: Optional[str] = None,
     ) -> "ShardedMomentService":
         """Rebuild a service from a single-file or manifest checkpoint.
 
@@ -567,9 +562,9 @@ class ShardedMomentService:
                     wal = _create_wal(
                         Path(wal_dir), 0, "v2", wal_flush_records, wal_flush_bytes, covered
                     )
-            service = cls(flush_rows=flush_rows, linalg_backend=linalg_backend)
+            service = cls(flush_rows=flush_rows)
             service.workers[0] = ShardWorker.restore(
-                target, wal=wal, wal_delta_rows=wal_delta_rows, linalg_backend=linalg_backend
+                target, wal=wal, wal_delta_rows=wal_delta_rows
             )
             service._reconcile_counters()
             return service
@@ -595,7 +590,6 @@ class ShardedMomentService:
             n_shards=int(manifest["n_shards"]),
             flush_rows=flush_rows,
             virtual_nodes=int(manifest["virtual_nodes"]),
-            linalg_backend=linalg_backend,
         )
         for shard, entry in enumerate(manifest["shards"]):
             wal = None
@@ -612,7 +606,6 @@ class ShardedMomentService:
                 shard_id=shard,
                 wal=wal,
                 wal_delta_rows=wal_delta_rows,
-                linalg_backend=linalg_backend,
             )
         # WAL tails may have advanced the workers past the manifest's
         # counters; reconcile rather than loading the stale snapshot.
@@ -630,7 +623,6 @@ class ShardedMomentService:
         wal_flush_bytes: Optional[int] = None,
         wal_delta_rows: Optional[int] = None,
         virtual_nodes: int = 64,
-        linalg_backend: Optional[str] = None,
     ) -> "ShardedMomentService":
         """Rebuild a service from its WALs alone (no checkpoint).
 
@@ -653,7 +645,6 @@ class ShardedMomentService:
             ttl_ops=ttl_ops,
             flush_rows=flush_rows,
             virtual_nodes=virtual_nodes,
-            linalg_backend=linalg_backend,
         )
         for shard, path in enumerate(wal_paths):
             wal = WriteAheadLog.open(
@@ -667,7 +658,6 @@ class ShardedMomentService:
                 ttl_ops=ttl_ops,
                 wal=wal,
                 wal_delta_rows=wal_delta_rows,
-                linalg_backend=linalg_backend,
             )
             worker.replay(wal)
             service.workers[shard] = worker

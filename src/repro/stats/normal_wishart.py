@@ -20,8 +20,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.exceptions import DimensionError, HyperParameterError
-from repro.linalg.validation import as_samples, assert_spd, inv_spd, symmetrize
+from repro.exceptions import DimensionError, HyperParameterError, NotSPDError
+from repro.linalg.batched import (
+    as_spd_stack,
+    cholesky_batched,
+    logdet_batched,
+    symmetrize_batched,
+)
+from repro.linalg.validation import SYM_TOL, as_samples, assert_spd, inv_spd, symmetrize
 from repro.stats.multigamma import multigammaln
 from repro.stats.multivariate_gaussian import MultivariateGaussian
 from repro.stats.wishart import Wishart
@@ -154,6 +160,43 @@ class NormalWishart:
         t0_inv = inv_spd(self.T0, "T0")
         quad = float(diff @ lam_arr @ diff)
         trace_term = float(np.trace(t0_inv @ lam_arr))
+        return (
+            0.5 * log_det_lam
+            - 0.5 * self.kappa0 * quad
+            + (self.v0 - self.dim - 1) / 2.0 * log_det_lam
+            - 0.5 * trace_term
+            - self.log_normalizer()
+        )
+
+    def logpdf_batch(self, mus, lams) -> np.ndarray:
+        """:meth:`logpdf` at ``B`` stacked points, shape ``(B,)``.
+
+        ``mus`` is ``(B, d)`` and ``lams`` is ``(B, d, d)``.  Every
+        ``Lambda`` passes the scalar path's SPD check (symmetric within
+        ``SYM_TOL``, then Cholesky); :class:`~repro.exceptions.NotSPDError`
+        names the first member that fails.
+        """
+        mu_arr = np.asarray(mus, dtype=float)
+        lam_arr = as_spd_stack(lams, "lambda")
+        b = lam_arr.shape[0]
+        if mu_arr.shape != (b, self.dim) or lam_arr.shape[1:] != self.T0.shape:
+            raise DimensionError(
+                f"need mus (B, {self.dim}) and lams (B, {self.dim}, {self.dim}), "
+                f"got {mu_arr.shape} and {lam_arr.shape}"
+            )
+        scale = np.maximum(1.0, np.abs(lam_arr).max(axis=(1, 2)))
+        asym = np.abs(lam_arr - np.swapaxes(lam_arr, -1, -2)).max(axis=(1, 2))
+        sym = symmetrize_batched(lam_arr)
+        chol, ok = cholesky_batched(sym)
+        ok &= asym <= SYM_TOL * scale
+        if not ok.all():
+            raise NotSPDError(
+                f"lambda[{int(np.flatnonzero(~ok)[0])}] is not symmetric positive definite"
+            )
+        diff = mu_arr - self.mu0
+        log_det_lam = logdet_batched(chol)
+        quad = np.einsum("bi,bij,bj->b", diff, sym, diff)
+        trace_term = np.einsum("ij,bji->b", inv_spd(self.T0, "T0"), sym)
         return (
             0.5 * log_det_lam
             - 0.5 * self.kappa0 * quad

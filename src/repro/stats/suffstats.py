@@ -43,7 +43,7 @@ __all__ = ["SufficientStats", "merge_all", "WIRE_SCHEMA"]
 WIRE_SCHEMA = SUFFSTATS_WIRE_SCHEMA
 
 #: Relative tolerance (against the largest ``|S_ij|``) for the scatter's
-#: asymmetry and most negative eigenvalue in :meth:`SufficientStats.from_dict`;
+#: asymmetry and most negative eigenvalue in :meth:`SufficientStats.validate`;
 #: Welford/Chan rounding stays orders of magnitude below it.
 SCATTER_RTOL = 1e-9
 
@@ -203,21 +203,37 @@ class SufficientStats:
     def from_dict(cls, payload: Dict[str, Any]) -> "SufficientStats":
         """Inverse of :meth:`to_dict` (bit-exact restore), validated.
 
-        The one entry point for statistics that cross a trust boundary —
-        the wire protocol, write-ahead-log replay, and checkpoint load —
-        so it refuses anything the accumulators could never produce: a
-        non-integer or negative count, non-finite values, a non-zero mean
-        or scatter for zero samples, and a scatter that is not symmetric
-        PSD within :data:`SCATTER_RTOL`.
+        The entry point for statistics that arrive as data — the wire
+        protocol, write-ahead-log replay, and checkpoint load — so the
+        result always passes :meth:`validate`.
         """
+        stats = cls.__new__(cls)
         try:
-            mean = np.asarray(payload["mean"], dtype=float)
-            scatter = np.asarray(payload["scatter"], dtype=float)
-            n = operator.index(payload["n"])
+            stats.n = operator.index(payload["n"])
+            stats.mean = np.asarray(payload["mean"], dtype=float)
+            stats.scatter = np.asarray(payload["scatter"], dtype=float)
         except (KeyError, TypeError) as exc:
             raise DimensionError(f"malformed suffstats payload: {exc}") from exc
-        if mean.ndim != 1:
-            raise DimensionError("suffstats mean must be 1-D")
+        return stats.validate()
+
+    def validate(self) -> "SufficientStats":
+        """Return ``self`` if the accumulators could have produced it.
+
+        Raises :class:`~repro.exceptions.DimensionError` for a
+        non-integer or negative count, non-finite values, a non-zero mean
+        or scatter for zero samples, and a scatter that is not symmetric
+        PSD within :data:`SCATTER_RTOL`.  :meth:`from_dict` runs it, and
+        so does every ingest of statistics built in process, before
+        anything is counted or logged.
+        """
+        try:
+            n = operator.index(self.n)
+        except TypeError as exc:
+            raise DimensionError(f"suffstats count must be an integer, got {self.n!r}") from exc
+        mean = np.asarray(self.mean, dtype=float)
+        scatter = np.asarray(self.scatter, dtype=float)
+        if mean.ndim != 1 or mean.shape[0] < 1:
+            raise DimensionError("suffstats mean must be 1-D with dim >= 1")
         d = mean.shape[0]
         if scatter.shape != (d, d):
             raise DimensionError(
@@ -227,7 +243,7 @@ class SufficientStats:
             raise DimensionError(f"suffstats count must be >= 0, got {n}")
         # NaN and inf propagate into the max, so it doubles as the
         # scatter's finiteness check
-        scale = float(np.abs(scatter).max()) if d else 0.0
+        scale = float(np.abs(scatter).max())
         if not (math.isfinite(scale) and np.isfinite(mean).all()):
             raise DimensionError("suffstats mean and scatter must be finite")
         if n == 0 and (scale > 0.0 or mean.any()):
@@ -237,11 +253,7 @@ class SufficientStats:
                 raise DimensionError("suffstats scatter must be symmetric")
             if np.linalg.eigvalsh(scatter)[0] < -SCATTER_RTOL * scale:
                 raise DimensionError("suffstats scatter must be positive semi-definite")
-        stats = cls(d)
-        stats.n = n
-        stats.mean = mean
-        stats.scatter = scatter
-        return stats
+        return self
 
     def to_wire(self) -> bytes:
         """Stable wire encoding: canonical JSON (sorted keys, compact,

@@ -1,6 +1,5 @@
 """Tests for metric sensitivity analysis and variance budgeting."""
 
-import numpy as np
 import pytest
 
 from repro.circuits.opamp import TwoStageOpAmp

@@ -7,7 +7,6 @@ from repro.core.crossval import TwoDimensionalCV, make_folds
 from repro.core.hypergrid import HyperParameterGrid
 from repro.core.prior import PriorKnowledge
 from repro.exceptions import InsufficientDataError
-from repro.stats.multivariate_gaussian import MultivariateGaussian
 
 
 class TestMakeFolds:

@@ -1,6 +1,5 @@
 """Tests for the ablation studies (reduced sizes — behaviour only)."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.ablations import (

@@ -1,6 +1,5 @@
 """Tests for the sample-budget planner."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError

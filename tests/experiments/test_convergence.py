@@ -1,6 +1,5 @@
 """Tests for the convergence-rate analysis."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import DimensionError

@@ -1,7 +1,6 @@
 """Tests for the stage-similarity diagnostics."""
 
 import numpy as np
-import pytest
 
 from repro.circuits.montecarlo import PairedDataset
 from repro.experiments.similarity import stage_similarity

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.errors import covariance_error, mean_error
+from repro.core.errors import mean_error
 from repro.core.pipeline import BMFPipeline
 from repro.extensions.sequential import SequentialBMF
 from repro.stats.gof import mardia_kurtosis

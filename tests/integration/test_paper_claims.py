@@ -9,7 +9,6 @@ verified directionally with small banks/repeats so the suite stays fast:
 * Sec. 3.3: the CV adapts hyper-parameters to prior quality.
 """
 
-import numpy as np
 import pytest
 
 from repro.experiments.cost import cost_reduction

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.bmf import map_moments
 from repro.core.prior import PriorKnowledge
-from repro.stats.normal_wishart import NormalWishart
 
 # Keep example counts moderate: each example does several O(d^3) solves.
 SETTINGS = settings(max_examples=40, deadline=None)

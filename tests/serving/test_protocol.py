@@ -6,7 +6,6 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.prior import PriorKnowledge
 from repro.serving import ShardedMomentService, handle_request, serve_loop
 
 D = 3
@@ -102,28 +101,27 @@ class TestOps:
 
 _GOOD_SCATTER = (2.0 * np.eye(D)).tolist()
 
+_BAD_STATS = [
+    {"n": 5, "mean": [float("nan"), 0.0, 0.0], "scatter": _GOOD_SCATTER},
+    {"n": 5, "mean": [0.0] * D, "scatter": np.diag([-5.0, 1.0, 1.0]).tolist()},
+    {
+        "n": 5,
+        "mean": [0.0] * D,
+        "scatter": [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
+    },
+    {"n": 2.5, "mean": [0.0] * D, "scatter": _GOOD_SCATTER},
+    {"n": 0, "mean": [1.0, 0.0, 0.0], "scatter": [[0.0] * D] * D},
+    {"n": -1, "mean": [0.0] * D, "scatter": _GOOD_SCATTER},
+]
+_BAD_STATS_IDS = ["nan-mean", "negative-scatter", "asymmetric-scatter", "fractional-n",
+                  "empty-with-mean", "negative-n"]
+
 
 class TestSuffstatsValidation:
     """A ``stats`` ingest the accumulators could never have produced is
     refused before anything is logged or applied."""
 
-    @pytest.mark.parametrize(
-        "stats",
-        [
-            {"n": 5, "mean": [float("nan"), 0.0, 0.0], "scatter": _GOOD_SCATTER},
-            {"n": 5, "mean": [0.0] * D, "scatter": np.diag([-5.0, 1.0, 1.0]).tolist()},
-            {
-                "n": 5,
-                "mean": [0.0] * D,
-                "scatter": [[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]],
-            },
-            {"n": 2.5, "mean": [0.0] * D, "scatter": _GOOD_SCATTER},
-            {"n": 0, "mean": [1.0, 0.0, 0.0], "scatter": [[0.0] * D] * D},
-            {"n": -1, "mean": [0.0] * D, "scatter": _GOOD_SCATTER},
-        ],
-        ids=["nan-mean", "negative-scatter", "asymmetric-scatter", "fractional-n",
-             "empty-with-mean", "negative-n"],
-    )
+    @pytest.mark.parametrize("stats", _BAD_STATS, ids=_BAD_STATS_IDS)
     def test_bad_stats_rejected_without_effect(self, stats, prior_fields, rng, tmp_path):
         with ShardedMomentService(wal_dir=tmp_path / "wal") as svc:
             call(svc, op="create", key="dut", **prior_fields)
@@ -139,6 +137,39 @@ class TestSuffstatsValidation:
             assert after["mean"] == before["mean"]
             assert after["covariance"] == before["covariance"]
             assert after["n"] == before["n"] == 6
+
+    @pytest.mark.parametrize("stats", _BAD_STATS, ids=_BAD_STATS_IDS)
+    def test_hand_built_stats_rejected_and_recovery_agrees(
+        self, stats, prior_fields, rng, tmp_path
+    ):
+        from repro.exceptions import DimensionError
+        from repro.stats.suffstats import SufficientStats
+
+        bad = SufficientStats(D)
+        bad.n = stats["n"]
+        bad.mean = np.asarray(stats["mean"], dtype=float)
+        bad.scatter = np.asarray(stats["scatter"], dtype=float)
+        wal_dir = tmp_path / "wal"
+        svc = ShardedMomentService(wal_dir=wal_dir)
+        call(svc, op="create", key="dut", **prior_fields)
+        svc.ingest("dut", rng.standard_normal((6, D)))
+        before = svc.estimate("dut")
+        seq = svc.workers[0].wal.last_seq
+        ingested = svc.stats()["ingested_samples"]
+        with pytest.raises(DimensionError):
+            svc.ingest_stats("dut", bad)
+        assert svc.workers[0].wal.last_seq == seq
+        assert svc.stats()["ingested_samples"] == ingested
+        live = svc.estimate("dut")
+        assert np.array_equal(live.mean, before.mean)
+        assert np.array_equal(live.covariance, before.covariance)
+        svc.close()
+        recovered = ShardedMomentService.recover(wal_dir)
+        replayed = recovered.estimate("dut")
+        assert np.array_equal(replayed.mean, live.mean)
+        assert np.array_equal(replayed.covariance, live.covariance)
+        assert replayed.n_samples == live.n_samples == 6
+        recovered.close()
 
 
 class TestErrorContainment:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import DimensionError, HyperParameterError
-from repro.stats.multivariate_gaussian import MultivariateGaussian
+from repro.exceptions import DimensionError, HyperParameterError, NotSPDError
 from repro.stats.normal_wishart import NormalWishart
 
 
@@ -71,11 +70,32 @@ class TestDensity:
         lams = np.linspace(1e-3, 20, 400)
         dmu = mus[1] - mus[0]
         dlam = lams[1] - lams[0]
-        total = 0.0
-        for lam in lams:
-            vals = [nw.pdf(np.array([m]), np.array([[lam]])) for m in mus]
-            total += float(np.sum(vals)) * dmu * dlam
+        mu_grid, lam_grid = np.meshgrid(mus, lams)
+        vals = np.exp(
+            nw.logpdf_batch(mu_grid.reshape(-1, 1), lam_grid.reshape(-1, 1, 1))
+        )
+        total = float(np.sum(vals)) * dmu * dlam
         assert total == pytest.approx(1.0, abs=0.02)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_logpdf_batch_matches_scalar(self, d, rng):
+        a = rng.standard_normal((d, d))
+        nw = NormalWishart(rng.standard_normal(d), 2.0, d + 4.0, a @ a.T + d * np.eye(d))
+        mus = rng.standard_normal((4, d))
+        b = rng.standard_normal((4, d, d))
+        lams = b @ np.swapaxes(b, -1, -2) + d * np.eye(d)
+        stacked = nw.logpdf_batch(mus, lams)
+        scalar = [nw.logpdf(mu, lam) for mu, lam in zip(mus, lams)]
+        assert np.allclose(stacked, scalar, rtol=0, atol=1e-12)
+
+    def test_logpdf_batch_rejects_any_non_spd_member(self):
+        nw = NormalWishart(np.zeros(2), 1.0, 5.0, np.eye(2))
+        lams = np.stack([np.eye(2), np.diag([1.0, -1.0]), np.eye(2)])
+        with pytest.raises(NotSPDError, match=r"lambda\[1\]"):
+            nw.logpdf_batch(np.zeros((3, 2)), lams)
+        lams[1] = [[1.0, 0.5], [0.0, 1.0]]
+        with pytest.raises(NotSPDError, match=r"lambda\[1\]"):
+            nw.logpdf_batch(np.zeros((3, 2)), lams)
 
 
 class TestPosterior:

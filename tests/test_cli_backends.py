@@ -1,58 +1,30 @@
-"""CLI backend-selection flags: parsing and end-to-end threading."""
+"""CLI MNA backend flag: parsing and end-to-end threading."""
 
 import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
 from repro.io import load_dataset
-from repro.linalg.backends import available_backends, set_default_kernel_backend
+from repro.linalg.backends import sparse_mna
 
-sparse_available = "sparse" in available_backends("mna")
-
-
-@pytest.fixture(autouse=True)
-def reset_kernel_default():
-    """`--linalg-backend` mutates process state; restore it per test."""
-    yield
-    set_default_kernel_backend("numpy")
+sparse_available = sparse_mna.is_available()
 
 
 class TestParsing:
-    def test_linalg_backend_is_global(self):
-        args = build_parser().parse_args(
-            ["--linalg-backend", "numpy", "generate", "adc", "out.npz"]
-        )
-        assert args.linalg_backend == "numpy"
-        assert args.mna_backend is None
-
     def test_mna_backend_on_generate(self):
         args = build_parser().parse_args(
             ["generate", "opamp", "out.npz", "--mna-backend", "sparse"]
         )
         assert args.mna_backend == "sparse"
-        assert args.linalg_backend is None
 
     def test_rejects_unknown_backend_names(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["--linalg-backend", "cupy", "generate", "adc", "out.npz"]
-            )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["generate", "adc", "out.npz", "--mna-backend", "numba"]
+                ["generate", "adc", "out.npz", "--mna-backend", "umfpack"]
             )
 
 
 class TestEndToEnd:
-    def test_linalg_backend_numpy_accepted(self, tmp_path, capsys):
-        path = tmp_path / "bank.npz"
-        code = main(
-            ["--linalg-backend", "numpy", "generate", "adc", str(path),
-             "--samples", "10", "--seed", "5"]
-        )
-        assert code == 0
-        assert path.exists()
-
     @pytest.mark.skipif(not sparse_available, reason="scipy not importable")
     def test_generate_opamp_sparse_matches_default(self, tmp_path, monkeypatch):
         a = tmp_path / "default.npz"

@@ -37,7 +37,7 @@ class TestTopLevelExports:
         assert missing == []
 
     def test_key_classes_importable(self):
-        from repro import (
+        from repro import (  # noqa: F401 -- importability is the test
             BMFEstimator,
             BMFPipeline,
             MLEstimator,
